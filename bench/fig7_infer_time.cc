@@ -122,10 +122,10 @@ bool CompiledMatchesReference(const core::ExperimentData& data,
     return false;
   }
   // Every traversal kernel must reproduce the reference walk bitwise —
-  // the scalar walk and the lockstep blocks alike (kAuto is the serving
-  // default). Leaves the model recompiled with the default kernel.
+  // the scalar walk and the lockstep blocks alike (kLockstep8 is the
+  // serving default). Leaves the model recompiled with the default kernel.
   for (ml::TraverseKernel kernel :
-       {ml::TraverseKernel::kScalar, ml::TraverseKernel::kAuto}) {
+       {ml::TraverseKernel::kScalar, ml::TraverseKernel::kLockstep8}) {
     if (!model->RecompileInference(ml::CompileOptions{.kernel = kernel})
              .ok()) {
       std::cerr << "recompile failed\n";
@@ -210,8 +210,8 @@ int main(int argc, char** argv) {
     // The compiled path runs twice per batch size: once pinned to the
     // scalar walk and once on the default (lockstep) kernel, so the
     // lockstep gain is visible at paper scale next to the compiled gain.
-    const char* lockstep_name = ml::TraverseKernelName(
-        ml::ResolveTraverseKernel(ml::TraverseKernel::kAuto));
+    const char* lockstep_name =
+        ml::TraverseKernelName(ml::TraverseKernel::kLockstep8);
     TablePrinter tput(StrFormat("%s batch throughput (queries/sec)",
                                 result->benchmark.c_str()));
     tput.SetHeader({"batch", "scalar 1t", "reference 1t", "compiled(scalar)",
@@ -232,8 +232,8 @@ int main(int argc, char** argv) {
       }
       ThroughputRow batch_scalar_kernel = BatchRun(*data, *model, batch_size, 1);
       if (!model
-               ->RecompileInference(
-                   ml::CompileOptions{.kernel = ml::TraverseKernel::kAuto})
+               ->RecompileInference(ml::CompileOptions{
+                   .kernel = ml::TraverseKernel::kLockstep8})
                .ok()) {
         std::cerr << "recompile failed\n";
         return 1;

@@ -572,7 +572,7 @@ int main(int argc, char** argv) {
       const char* mode;
       ml::TraverseKernel kernel;
     } kernel_runs[] = {{"compiled_scalar", ml::TraverseKernel::kScalar},
-                       {"compiled", ml::TraverseKernel::kAuto}};
+                       {"compiled", ml::TraverseKernel::kLockstep8}};
     for (const auto& kr : kernel_runs) {
       if (!model->RecompileInference(ml::CompileOptions{.kernel = kr.kernel})
                .ok()) {

@@ -1,12 +1,12 @@
-// Traversal-kernel micro-bench: scalar walk vs lockstep-4/8 vs the AVX2
-// gather kernel on compiled DT/RF/GBT ensembles, swept over LUT depth
-// {0, 3, 6}, u8/u16 code widths, and batch sizes {1, 10, 100, 1000}.
+// Traversal-kernel micro-bench: scalar walk vs lockstep-8 on compiled
+// DT/RF/GBT ensembles, swept over LUT depth {0, 3, 6}, u8/u16 code widths,
+// and batch sizes {1, 10, 100, 1000}.
 //
 // This isolates CompiledEnsemble::Predict — synthetic training data, no
 // workload pipeline — so the numbers measure pure traversal throughput
-// (rows/sec) of each kernel. Every configuration's predictions are gated
-// bitwise against the scalar walk on the same chunking; any divergence is
-// a nonzero exit (CI runs `--quick`).
+// (rows/sec) of each kernel. Every lockstep-8 configuration's predictions
+// are gated bitwise against the scalar walk on the same chunking; any
+// divergence is a nonzero exit (CI runs `--quick`).
 //
 // Flags: --quick (CI smoke size), --json=PATH (trajectory records),
 // --seed=<n>.
@@ -204,14 +204,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(args.seed));
   std::printf("=======================================================\n");
 
-  std::vector<ml::TraverseKernel> kernels = {ml::TraverseKernel::kScalar,
-                                             ml::TraverseKernel::kLockstep4,
-                                             ml::TraverseKernel::kLockstep8};
-  if (ml::TraverseKernelSupported(ml::TraverseKernel::kAvx2)) {
-    kernels.push_back(ml::TraverseKernel::kAvx2);
-  } else {
-    std::printf("avx2 kernel: unsupported on this cpu, skipped\n");
-  }
+  const ml::TraverseKernel kernels[] = {ml::TraverseKernel::kScalar,
+                                        ml::TraverseKernel::kLockstep8};
   const std::vector<int> luts = args.quick ? std::vector<int>{0, 3}
                                            : std::vector<int>{0, 3, 6};
   const std::vector<size_t> batches = args.quick
@@ -250,7 +244,7 @@ int main(int argc, char** argv) {
       for (ml::TraverseKernel k : kernels) {
         header.push_back(ml::TraverseKernelName(k));
       }
-      header.push_back("best gain");
+      header.push_back("gain");
       table.SetHeader(header);
       for (size_t batch : batches) {
         const std::vector<ml::Matrix> chunks =
@@ -258,13 +252,10 @@ int main(int argc, char** argv) {
         const size_t n = spec.data.test.rows();
         std::vector<std::string> cells = {StrFormat("%zu", batch)};
         double scalar_rps = 0.0;
-        double best_gain = 0.0;
+        double gain = 0.0;
         std::vector<double> want, got;
         for (ml::TraverseKernel k : kernels) {
-          if (!ce->ForceKernel(k).ok()) {
-            std::cerr << "ForceKernel failed\n";
-            return 1;
-          }
+          ce->ForceKernel(k);
           std::vector<double>* preds =
               k == ml::TraverseKernel::kScalar ? &want : &got;
           const double rps = MeasureRowsPerSec(*ce, chunks, n, min_ms, preds);
@@ -275,7 +266,7 @@ int main(int argc, char** argv) {
           if (k == ml::TraverseKernel::kScalar) {
             scalar_rps = rps;
           } else {
-            // Bitwise gate: every kernel must reproduce the scalar walk
+            // Bitwise gate: lockstep-8 must reproduce the scalar walk
             // exactly on this chunking.
             for (size_t i = 0; i < want.size(); ++i) {
               if (got[i] != want[i]) {
@@ -287,7 +278,7 @@ int main(int argc, char** argv) {
                 break;
               }
             }
-            best_gain = std::max(best_gain, rps / scalar_rps);
+            gain = rps / scalar_rps;
           }
           cells.push_back(StrFormat("%.0f", rps));
           BenchRow row;
@@ -300,7 +291,7 @@ int main(int argc, char** argv) {
           row.speedup = scalar_rps > 0 ? rps / scalar_rps : 0.0;
           rows.push_back(row);
         }
-        cells.push_back(StrFormat("%.2fx", best_gain));
+        cells.push_back(StrFormat("%.2fx", gain));
         table.AddRow(cells);
       }
       table.Print(std::cout);
@@ -324,10 +315,10 @@ int main(int argc, char** argv) {
   if (out != stdout) std::fclose(out);
 
   if (mismatches > 0) {
-    std::cerr << mismatches << " kernel configuration(s) diverged from the "
-                               "scalar walk\n";
+    std::cerr << mismatches << " lockstep-8 configuration(s) diverged from "
+                               "the scalar walk\n";
     return 1;
   }
-  std::printf("\nall kernels bitwise-identical to the scalar walk\n");
+  std::printf("\nlockstep-8 bitwise-identical to the scalar walk\n");
   return 0;
 }

@@ -6,7 +6,7 @@
 //                   straight into engine::ScoringService — the PR 3
 //                   serving baseline the wire path is measured against.
 //   remote          the same clients, each with its own net::WireClient,
-//                   against a net::WireServer on a loopback Unix socket
+//                   against a net::ReactorServer on a loopback Unix socket
 //                   fronting an identical service: one workload per score
 //                   frame, so p50/p99 isolates the per-request wire cost
 //                   (frame codec + syscalls + record serialization).
@@ -16,28 +16,20 @@
 //                   the qps number an admission controller integration
 //                   should expect.
 //   publish_rollback under concurrent remote score traffic, publish a
-//                   retrained model over the wire (PublishAll across all
-//                   shards + registry record), verify post-swap remote
-//                   scores match the new model's own in-process
-//                   BatchScorer bitwise — then Rollback and verify the
-//                   PREVIOUS epoch's scores come back bitwise. Zero failed
-//                   requests allowed anywhere.
-//   reactor         the per-request closed-loop clients again, but against
-//                   the single-threaded epoll ReactorServer instead of the
-//                   thread-per-connection WireServer — swept over
+//                   retrained model over the wire (checksum-verified,
+//                   PublishAll across all shards + registry record),
+//                   verify post-swap remote scores match the new model's
+//                   own in-process BatchScorer bitwise — then Rollback and
+//                   verify the PREVIOUS epoch's scores come back bitwise.
+//                   Zero failed requests allowed anywhere.
+//   remote (sweep)  the per-request closed-loop clients again, swept over
 //                   connection counts to show one event-loop thread
 //                   holding many sockets.
-//   pipelined       net::AsyncWireClient against the reactor: one workload
-//                   per kScoreRequestPipelined frame with a 16-deep
-//                   in-flight window per connection, so round trips
-//                   overlap instead of serializing. Same connection sweep;
-//                   this is the mode whose qps is compared against the
-//                   blocking per-request wire at the top connection count.
-//   reactor_publish_rollback
-//                   the publish_rollback phase repeated against the
-//                   reactor: checksum-verified publish, bitwise post-swap
-//                   and post-rollback scores, zero failures — under
-//                   concurrent reactor score traffic.
+//   pipelined       net::AsyncWireClient against the same server: one
+//                   workload per kScoreRequestPipelined frame with a
+//                   16-deep in-flight window per connection, so round
+//                   trips overlap instead of serializing. Same connection
+//                   sweep.
 //
 // Every remote prediction is compared bitwise against the in-process
 // BatchScorer on the same model: the wire must be a transport, not a
@@ -62,7 +54,6 @@
 #include "net/async_client.h"
 #include "net/reactor_server.h"
 #include "net/wire_client.h"
-#include "net/wire_server.h"
 #include "util/stats.h"
 #include "util/sync.h"
 #include "util/timer.h"
@@ -265,8 +256,8 @@ DriveOut DrivePipelined(const std::string& address,
       const std::vector<size_t> slice = SliceFor(c, clients, batches.size());
       const std::string tenant = StrFormat("pipelined-client-%d", c);
       // Per-workload payloads prepared outside the timed region, exactly
-      // like the per-request blocking mode, so the comparison isolates
-      // the transport.
+      // like the per-request plain mode, so the comparison isolates the
+      // transport.
       std::vector<std::vector<workloads::QueryRecord>> member_records;
       std::vector<std::vector<core::WorkloadBatch>> member_batches;
       member_records.reserve(slice.size());
@@ -353,9 +344,7 @@ WireRow MakeDriveRow(const std::string& mode, int clients, int passes,
 
 // Publish model2 over the wire under concurrent score traffic, verify the
 // post-swap steady state is model2 bitwise, roll back, verify model1's
-// scores return bitwise. Works unchanged against either server (the
-// checksum trust boundary and the registry epoch machinery live behind
-// the shared dispatcher).
+// scores return bitwise.
 WireRow RunPublishRollback(const std::string& address,
                            const std::string& mode,
                            const std::vector<workloads::QueryRecord>& records,
@@ -579,7 +568,7 @@ int main(int argc, char** argv) {
     std::cerr << "registry record failed: " << rec.status() << "\n";
     return 1;
   }
-  net::WireServer server(&service, &registry, "bench");
+  net::ReactorServer server(&service, &registry, "bench");
   if (Status st = server.Listen(address); !st.ok()) {
     std::cerr << "listen failed: " << st << "\n";
     return 1;
@@ -602,64 +591,21 @@ int main(int argc, char** argv) {
                                     batches, *m2, want1->predictions,
                                     want2->predictions, clients));
 
-  // --- event-loop reactor + pipelined client: connection sweep ---
-  // The reactor fronts the SAME service and registry as the blocking
-  // server (two transports, one engine), so its scores are compared
-  // against the identical in-process reference. The blocking per-request
-  // mode is re-driven at each sweep point to give the pipelined mode an
-  // apples-to-apples baseline at the same connection count.
-  const std::string reactor_address =
-      StrFormat("unix:/tmp/wmp_wire_latency.%d.reactor.sock",
-                static_cast<int>(::getpid()));
-  net::ReactorServer reactor(&service, &registry, "bench");
-  if (Status st = reactor.Listen(reactor_address); !st.ok()) {
-    std::cerr << "reactor listen failed: " << st << "\n";
-    return 1;
-  }
-  if (Status st = reactor.Start(); !st.ok()) {
-    std::cerr << "reactor start failed: " << st << "\n";
-    return 1;
-  }
+  // --- per-request vs pipelined clients: connection sweep ---
   const std::vector<int> sweep =
       args.quick ? std::vector<int>{2, 8} : std::vector<int>{1, 2, 4, 8};
   const size_t kWindow = 16;
-  double blocking_qps_top = 0.0, pipelined_qps_top = 0.0;
   for (int n : sweep) {
-    WireRow blocking_row = MakeDriveRow(
+    rows.push_back(MakeDriveRow(
         "remote", n, passes, batches,
         DriveRemote(address, records, batches, n, passes, 1),
-        want1->predictions);
-    WireRow reactor_row = MakeDriveRow(
-        "reactor", n, passes, batches,
-        DriveRemote(reactor_address, records, batches, n, passes, 1),
-        want1->predictions);
-    WireRow pipelined_row = MakeDriveRow(
+        want1->predictions));
+    rows.push_back(MakeDriveRow(
         "pipelined", n, passes, batches,
-        DrivePipelined(reactor_address, records, batches, n, passes, kWindow),
-        want1->predictions);
-    if (n == sweep.back()) {
-      blocking_qps_top = blocking_row.qps;
-      pipelined_qps_top = pipelined_row.qps;
-    }
-    rows.push_back(std::move(blocking_row));
-    rows.push_back(std::move(reactor_row));
-    rows.push_back(std::move(pipelined_row));
-  }
-  if (blocking_qps_top > 0) {
-    std::printf(
-        "pipelined reactor at %d connections: %.0f q/s vs blocking "
-        "per-request %.0f q/s — %.2fx (window %zu)\n\n",
-        sweep.back(), pipelined_qps_top, blocking_qps_top,
-        pipelined_qps_top / blocking_qps_top, kWindow);
+        DrivePipelined(address, records, batches, n, passes, kWindow),
+        want1->predictions));
   }
 
-  // --- publish + rollback against the reactor, under reactor traffic ---
-  rows.push_back(RunPublishRollback(reactor_address,
-                                    "reactor_publish_rollback", records,
-                                    batches, *m2, want1->predictions,
-                                    want2->predictions, clients));
-
-  reactor.Shutdown();
   server.Shutdown();
   service.Stop();
 

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Fleet smoke: the router's failure model through the real binaries.
-# Starts THREE `wmpctl serve --reactor` predictor nodes, streams a query
+# Starts THREE `wmpctl serve` predictor nodes, streams a query
 # log through `wmpctl fleet score` while one node is kill -9'd mid-stream
 # (the score step exits nonzero on ANY failed workload, so "zero failed
 # scores across a node death" is asserted by the exit code), proves that a
 # coordinated publish with a dead node FAILS CLOSED (survivors stay on the
 # prior epoch, nothing staged), then revives the node, publishes
-# fleet-wide, rolls back fleet-wide, and re-scores. Any nonzero step (or
-# an expected-to-fail step succeeding) fails the script.
+# fleet-wide, rolls back fleet-wide, re-scores, and requires every node's
+# clean shutdown to print the reactor summary line (`backpressure
+# pauses`). Any nonzero step (or an expected-to-fail step succeeding)
+# fails the script.
 set -euo pipefail
 
 BUILD=${1:-build}
@@ -38,7 +40,7 @@ start_node() {
   local i="$1"
   local sock_var="SOCK$((i + 1))"
   local sock="${!sock_var}"
-  "$BUILD/wmpctl" serve --reactor --listen="unix:$sock" --model="$MODEL" \
+  "$BUILD/wmpctl" serve --listen="unix:$sock" --model="$MODEL" \
     --name=default >"$WORK/node$((i + 1)).log" 2>&1 &
   NODE_PIDS[i]=$!
   for _ in $(seq 100); do
@@ -59,7 +61,7 @@ echo "== generate + train two artifacts (the fleet rollout payloads)"
 "$BUILD/wmpctl" train --log="$LOG" --model="$MODEL2" --templates=12 \
   --batch=10 --seed=7
 
-echo "== start a 3-node predictor fleet (reactor transport)"
+echo "== start a 3-node predictor fleet"
 for i in 0 1 2; do start_node "$i"; done
 
 echo "== fleet status: every node healthy on one consistent epoch"
@@ -128,4 +130,11 @@ for pid in "${NODE_PIDS[@]}"; do
   wait "$pid" 2>/dev/null || true
 done
 NODE_PIDS=()
+for i in 1 2 3; do
+  grep -q "backpressure pauses" "$WORK/node$i.log" || {
+    echo "node $i log lacks the reactor shutdown summary"
+    cat "$WORK/node$i.log"
+    exit 1
+  }
+done
 echo "fleet smoke OK"

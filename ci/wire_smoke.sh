@@ -4,11 +4,12 @@
 # log through `wmpctl score --connect` in chunks, roll out a retrained
 # model with `wmpctl train --publish --connect` (which asserts zero failed
 # requests and bitwise post-swap scores), roll it back, and shut the
-# server down cleanly. The loop runs TWICE: once against the blocking
-# thread-per-connection server, once against the epoll reactor
-# (`serve --reactor`) with the pipelined client (`score --pipeline`) —
-# same protocol, same scores, different transport. Any nonzero step fails
-# the script.
+# server down cleanly. The loop runs TWICE against the epoll reactor: once
+# with the plain request/response client, once with the pipelined client
+# (`score --pipeline`) — same server, same scores, both client dialects.
+# The clean shutdown must print the reactor's counter line (the
+# `backpressure pauses` field is what benchmark harnesses parse). Any
+# nonzero step fails the script.
 set -euo pipefail
 
 BUILD=${1:-build}
@@ -30,16 +31,15 @@ echo "== generate + train the first artifact"
 "$BUILD/wmpctl" generate --benchmark=tpcc --queries=600 --out="$LOG"
 "$BUILD/wmpctl" train --log="$LOG" --model="$MODEL" --templates=12 --batch=10
 
-# run_loop <tag> <serve extra flags> <score extra flags>
+# run_loop <tag> <score extra flags>
 run_loop() {
-  local tag="$1" serve_flags="$2" score_flags="$3"
+  local tag="$1" score_flags="$2"
   local sock="$WORK/wire-$tag.sock"
   local server_log="$WORK/server-$tag.log"
 
-  echo "== [$tag] start wmpctl serve $serve_flags on unix:$sock"
-  # shellcheck disable=SC2086
+  echo "== [$tag] start wmpctl serve on unix:$sock"
   "$BUILD/wmpctl" serve --listen="unix:$sock" --model="$MODEL" \
-    --name=smoke --warm-log="$LOG" $serve_flags >"$server_log" 2>&1 &
+    --name=smoke --warm-log="$LOG" >"$server_log" 2>&1 &
   SERVER_PID=$!
   for _ in $(seq 100); do
     [[ -S "$sock" ]] && break
@@ -70,8 +70,11 @@ run_loop() {
   wait "$SERVER_PID"
   SERVER_PID=""
   cat "$server_log"
+  grep -q "backpressure pauses" "$server_log" || {
+    echo "server log lacks the reactor shutdown summary"; exit 1;
+  }
 }
 
-run_loop blocking "" ""
-run_loop reactor "--reactor" "--pipeline=16"
+run_loop plain ""
+run_loop pipelined "--pipeline=16"
 echo "wire smoke OK"

@@ -170,11 +170,6 @@ Status LearnedWmpModel::RecompileInference(const ml::CompileOptions& options) {
   if (regressor_ == nullptr) {
     return Status::FailedPrecondition("model has no regressor");
   }
-  if (options.kernel != ml::TraverseKernel::kAuto &&
-      !ml::TraverseKernelSupported(options.kernel)) {
-    return Status::FailedPrecondition(
-        "traversal kernel unsupported on this cpu");
-  }
   WMP_ASSIGN_OR_RETURN(
       ml::CompiledEnsemble compiled,
       ml::CompiledEnsemble::CompileRegressor(*regressor_, options));

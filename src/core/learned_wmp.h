@@ -173,9 +173,8 @@ class LearnedWmpModel {
   bool compiled_inference() const { return use_compiled_; }
   /// Rebuilds the compiled form with explicit options — benches and tests
   /// pin a traversal kernel / LUT depth this way; serving keeps the
-  /// Train/Deserialize default (kAuto: WMP_TRAVERSE_KERNEL env, else the
-  /// fastest supported kernel). Fails for non-tree families and for
-  /// kernels this CPU can't run; `compiled()` is unchanged on failure.
+  /// Train/Deserialize default (lockstep-8). Fails for non-tree families;
+  /// `compiled()` is unchanged on failure.
   /// Not safe while another thread predicts through this model — recompile
   /// before publishing, as the registry/hot-swap path does naturally.
   Status RecompileInference(const ml::CompileOptions& options);

@@ -1,5 +1,7 @@
 #include "net/async_client.h"
 
+#include <sys/socket.h>
+
 #include <utility>
 
 #include "net/socket.h"
@@ -216,11 +218,14 @@ bool AsyncWireClient::alive() const {
 
 void AsyncWireClient::Close() {
   FailAll(Status::FailedPrecondition("client closed"));
-  // CloseConnection shuts down both directions first, waking the reader
-  // out of a parked ReadFrame; FailAll already woke the timer.
-  CloseConnection(fd_);
+  // Shutting both directions down wakes the reader out of a parked
+  // ReadFrame (FailAll already woke the timer). The fd is released only
+  // after both threads are joined: closing it under a live read() would
+  // free the number for reuse while the reader still holds it.
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
   if (reader_.joinable()) reader_.join();
   if (timer_.joinable()) timer_.join();
+  CloseFd(fd_);
   fd_ = -1;
 }
 

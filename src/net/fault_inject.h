@@ -6,7 +6,7 @@
 /// behind the fleet router's failure tests.
 ///
 /// Every blocking frame read/write in src/net (ReadFrame/WriteFrame, i.e.
-/// both wire clients and the blocking server) consults the process-global
+/// both wire clients) consults the process-global
 /// armed FaultInjector, which may, per operation:
 ///
 ///   kDelay      sleep before performing the op (delay storms, slow peers)

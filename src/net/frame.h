@@ -4,7 +4,8 @@
 /// \file frame.h
 /// Length-prefixed binary frame codec — the unit of the wire protocol.
 ///
-/// Every message between net::WireClient and net::WireServer is one frame:
+/// Every message between a client (net::WireClient, net::AsyncWireClient)
+/// and net::ReactorServer is one frame:
 ///
 ///   offset 0  u32  magic  0x31464D57 ("WMF1", little-endian)
 ///   offset 4  u8   type   (FrameType)

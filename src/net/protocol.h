@@ -8,7 +8,7 @@
 /// All payloads are built from util/io's little-endian length-prefixed
 /// primitives, and every Decode is bounds-checked — a malformed or
 /// truncated payload yields a Status, never UB. The encodings are shared
-/// verbatim by net::WireServer and net::WireClient (and unit-tested
+/// verbatim by net::ReactorServer and the clients (and unit-tested
 /// symmetrically), so the two sides cannot drift.
 ///
 /// Request/response summary:

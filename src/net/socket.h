@@ -3,8 +3,8 @@
 
 /// \file socket.h
 /// Address parsing and socket setup shared by the wire-protocol endpoints:
-/// the blocking net::WireServer/net::WireClient pair and the event-loop
-/// net::ReactorServer/net::AsyncWireClient pair.
+/// the event-loop net::ReactorServer and the net::WireClient /
+/// net::AsyncWireClient clients.
 ///
 /// Addresses come in two spellings:
 ///
@@ -15,9 +15,9 @@
 ///                          port, reported back by Listener::port()
 ///
 /// Everything here is thin POSIX. Sockets are created blocking (what the
-/// thread-per-connection server wants); the reactor flips its listener and
-/// every accepted connection to nonblocking via SetNonBlocking and drives
-/// them from one poll/epoll loop (see reactor_server.h).
+/// clients want); the reactor flips its listener and every accepted
+/// connection to nonblocking via SetNonBlocking and drives them from one
+/// poll/epoll loop (see reactor_server.h).
 
 #include <sys/types.h>
 

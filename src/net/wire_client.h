@@ -64,7 +64,7 @@ struct WireClientOptions {
   uint64_t jitter_seed = 0;
 };
 
-/// \brief One reusable client connection to a net::WireServer.
+/// \brief One reusable client connection to a net::ReactorServer.
 class WireClient {
  public:
   explicit WireClient(std::string address, WireClientOptions options = {});

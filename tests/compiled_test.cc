@@ -299,18 +299,7 @@ TEST(CompiledEnsembleTest, DecompileRestoresPredictionEquivalentTrees) {
   }
 }
 
-// ---------- Lockstep traversal kernels ----------
-
-// Every batch kernel beyond the scalar walk; kAvx2 joins when this CPU has
-// it (ForceKernel would refuse it otherwise).
-std::vector<TraverseKernel> BatchKernels() {
-  std::vector<TraverseKernel> kernels = {TraverseKernel::kLockstep4,
-                                         TraverseKernel::kLockstep8};
-  if (TraverseKernelSupported(TraverseKernel::kAvx2)) {
-    kernels.push_back(TraverseKernel::kAvx2);
-  }
-  return kernels;
-}
+// ---------- Lockstep-8 traversal kernel ----------
 
 Matrix HeadRows(const Matrix& x, size_t n) {
   Matrix m(n, x.cols());
@@ -320,41 +309,54 @@ Matrix HeadRows(const Matrix& x, size_t n) {
   return m;
 }
 
-// Requires every batch kernel to reproduce the scalar walk bitwise on `x`.
-void ExpectKernelsMatchScalar(CompiledEnsemble* compiled, const Matrix& x) {
-  ASSERT_TRUE(compiled->ForceKernel(TraverseKernel::kScalar).ok());
-  auto want = compiled->Predict(x);
-  ASSERT_TRUE(want.ok());
-  for (TraverseKernel k : BatchKernels()) {
-    ASSERT_TRUE(compiled->ForceKernel(k).ok());
-    auto got = compiled->Predict(x);
-    ASSERT_TRUE(got.ok());
-    ASSERT_EQ(got->size(), want->size());
-    for (size_t i = 0; i < want->size(); ++i) {
-      ASSERT_EQ((*got)[i], (*want)[i])
-          << TraverseKernelName(k) << " n=" << x.rows() << " row " << i;
-    }
+// Requires the lockstep-8 batch kernel to reproduce the single-row scalar
+// walk (PredictRow) bitwise on every row of `x`.
+void ExpectLockstepMatchesPredictRow(CompiledEnsemble* compiled,
+                                     const Matrix& x) {
+  compiled->ForceKernel(TraverseKernel::kLockstep8);
+  auto got = compiled->Predict(x);
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got->size(), x.rows());
+  for (size_t i = 0; i < x.rows(); ++i) {
+    ASSERT_EQ((*got)[i], compiled->PredictRow(x.RowPtr(i), x.cols()))
+        << "n=" << x.rows() << " row " << i;
   }
 }
 
-TEST(CompiledEnsembleTest, LockstepKernelsBitwiseAcrossTailsAndLuts) {
-  // Row counts sweep every tail shape the block scheduler can see: empty,
-  // shorter than any block (n < 4), between the widths (4 <= n < 8), exact
-  // multiples, and ragged remainders of both 4 and 8.
-  const size_t kRowCounts[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 31};
+TEST(CompiledEnsembleTest, LockstepBitwiseAcrossTailsLutsAndCodeWidths) {
+  // n = 0..17 sweeps every tail shape the block scheduler can see: empty,
+  // all-tail (n < 8), one exact block, ragged remainders, two full blocks,
+  // and two blocks plus a tail.
   Fixture f = MakeFixture(500, 6, 811);
   DecisionTreeRegressor dt = TrainDt(f);
   RandomForestRegressor rf = TrainRf(f);
   GbtRegressor gbt = TrainGbt(f);
-  const Regressor* models[] = {&dt, &rf, &gbt};
-  for (const Regressor* model : models) {
+  // Thousands of bins on a deep tree push the codes to u16.
+  Fixture wide_f = MakeFixture(3000, 2, 823);
+  DecisionTreeOptions wide_opt;
+  wide_opt.tree.max_depth = 16;
+  wide_opt.tree.max_bins = 4096;
+  wide_opt.tree.min_samples_leaf = 1;
+  wide_opt.seed = 29;
+  DecisionTreeRegressor wide(wide_opt);
+  ASSERT_TRUE(wide.Fit(wide_f.x, wide_f.y).ok());
+  struct Case {
+    const Regressor* model;
+    const Matrix* test;
+    bool narrow;
+  };
+  const Case cases[] = {{&dt, &f.test, true},
+                        {&rf, &f.test, true},
+                        {&gbt, &f.test, true},
+                        {&wide, &wide_f.test, false}};
+  for (const Case& c : cases) {
     for (int lut : {0, 3, 6}) {
       auto compiled = CompiledEnsemble::CompileRegressor(
-          *model, CompileOptions{.lut_levels = lut,
-                                 .kernel = TraverseKernel::kScalar});
+          *c.model, CompileOptions{.lut_levels = lut});
       ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-      for (size_t n : kRowCounts) {
-        ExpectKernelsMatchScalar(&*compiled, HeadRows(f.test, n));
+      ASSERT_EQ(compiled->narrow(), c.narrow);
+      for (size_t n = 0; n <= 17; ++n) {
+        ExpectLockstepMatchesPredictRow(&*compiled, HeadRows(*c.test, n));
       }
     }
   }
@@ -372,37 +374,14 @@ TEST(CompiledEnsembleTest, LockstepMixedLeafDepthsParkEarlyExitingLanes) {
   DecisionTreeRegressor model(opt);
   ASSERT_TRUE(model.Fit(f.x, f.y).ok());
   for (int lut : {0, 3}) {
-    auto compiled = CompiledEnsemble::Compile(
-        model,
-        CompileOptions{.lut_levels = lut, .kernel = TraverseKernel::kScalar});
+    auto compiled =
+        CompiledEnsemble::Compile(model, CompileOptions{.lut_levels = lut});
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    ExpectKernelsMatchScalar(&*compiled, f.test);
-    ExpectKernelsMatchScalar(&*compiled, HeadRows(f.test, 13));
+    ExpectLockstepMatchesPredictRow(&*compiled, f.test);
   }
 }
 
-TEST(CompiledEnsembleTest, LockstepWideBinSpaceU16) {
-  // u16 codes: lockstep compares and the AVX2 gathers must mask two-byte
-  // lanes correctly.
-  Fixture f = MakeFixture(3000, 2, 823);
-  DecisionTreeOptions opt;
-  opt.tree.max_depth = 16;
-  opt.tree.max_bins = 4096;
-  opt.tree.min_samples_leaf = 1;
-  opt.seed = 29;
-  DecisionTreeRegressor model(opt);
-  ASSERT_TRUE(model.Fit(f.x, f.y).ok());
-  for (int lut : {0, 3, 6}) {
-    auto compiled = CompiledEnsemble::Compile(
-        model,
-        CompileOptions{.lut_levels = lut, .kernel = TraverseKernel::kScalar});
-    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    ExpectKernelsMatchScalar(&*compiled, f.test);
-    ExpectKernelsMatchScalar(&*compiled, HeadRows(f.test, 11));
-  }
-}
-
-TEST(CompiledEnsembleTest, LockstepStumpEnsembleAllKernels) {
+TEST(CompiledEnsembleTest, LockstepStumpEnsemble) {
   // Single-leaf ensemble: d_ = 0, no LUT, every lane parks before the
   // first step — the degenerate case of the early-exit machinery.
   Matrix x(9, 3);
@@ -414,54 +393,71 @@ TEST(CompiledEnsembleTest, LockstepStumpEnsembleAllKernels) {
   auto compiled = CompiledEnsemble::Compile(model);
   ASSERT_TRUE(compiled.ok());
   ASSERT_EQ(compiled->num_leaves(), 1u);
-  ExpectKernelsMatchScalar(&*compiled, x);
+  ExpectLockstepMatchesPredictRow(&*compiled, x);
 }
 
 TEST(CompiledEnsembleTest, PredictMatchesPredictRowUnderEveryKernel) {
   // A one-row matrix is all tail, but it must agree with PredictRow and
-  // PredictOne no matter which kernel is pinned.
+  // PredictOne no matter which kernel is pinned; a full matrix through the
+  // scalar batch path must agree too.
   Fixture f = MakeFixture(400, 5, 827);
   GbtRegressor model = TrainGbt(f);
   auto compiled = CompiledEnsemble::Compile(model);
   ASSERT_TRUE(compiled.ok());
-  std::vector<TraverseKernel> kernels = BatchKernels();
-  kernels.push_back(TraverseKernel::kScalar);
-  for (TraverseKernel k : kernels) {
-    ASSERT_TRUE(compiled->ForceKernel(k).ok());
-    for (size_t i = 0; i < 10; ++i) {
-      auto one = compiled->Predict(HeadRows(f.test, 1));
-      ASSERT_TRUE(one.ok());
-      const double row = compiled->PredictRow(f.test.RowPtr(0), f.test.cols());
-      EXPECT_EQ((*one)[0], row) << TraverseKernelName(k);
-      EXPECT_EQ(compiled->PredictOne(f.test.RowVec(0)).value(), row);
+  for (TraverseKernel k :
+       {TraverseKernel::kScalar, TraverseKernel::kLockstep8}) {
+    compiled->ForceKernel(k);
+    auto one = compiled->Predict(HeadRows(f.test, 1));
+    ASSERT_TRUE(one.ok());
+    const double row = compiled->PredictRow(f.test.RowPtr(0), f.test.cols());
+    EXPECT_EQ((*one)[0], row) << TraverseKernelName(k);
+    EXPECT_EQ(compiled->PredictOne(f.test.RowVec(0)).value(), row);
+    auto all = compiled->Predict(f.test);
+    ASSERT_TRUE(all.ok());
+    for (size_t i = 0; i < f.test.rows(); ++i) {
+      ASSERT_EQ((*all)[i],
+                compiled->PredictRow(f.test.RowPtr(i), f.test.cols()))
+          << TraverseKernelName(k) << " row " << i;
     }
   }
 }
 
-TEST(CompiledEnsembleTest, KernelResolutionAndForceKernel) {
+TEST(CompiledEnsembleTest, KernelDefaultAndForceKernel) {
   Fixture f = MakeFixture(300, 4, 829);
   DecisionTreeRegressor model = TrainDt(f);
+  // Lockstep-8 is the default, at Compile and at Deserialize alike.
   auto compiled = CompiledEnsemble::Compile(model);
   ASSERT_TRUE(compiled.ok());
-  // kAuto never survives resolution, and the resolved kernel is runnable.
-  EXPECT_NE(compiled->kernel(), TraverseKernel::kAuto);
-  EXPECT_TRUE(TraverseKernelSupported(compiled->kernel()));
-  EXPECT_STRNE(compiled->kernel_name(), "auto");
-  EXPECT_EQ(compiled->kernel_id(), static_cast<uint64_t>(compiled->kernel()));
-  // Pinning is honored and reported.
-  ASSERT_TRUE(compiled->ForceKernel(TraverseKernel::kLockstep4).ok());
-  EXPECT_EQ(compiled->kernel(), TraverseKernel::kLockstep4);
-  EXPECT_EQ(compiled->kernel_block_rows(), 4);
-  if (!TraverseKernelSupported(TraverseKernel::kAvx2)) {
-    EXPECT_TRUE(compiled->ForceKernel(TraverseKernel::kAvx2)
-                    .IsFailedPrecondition());
-    EXPECT_EQ(compiled->kernel(), TraverseKernel::kLockstep4);  // unchanged
-  }
-  // Wire id names: 0 is the reference path, kernel ids map to their names.
+  EXPECT_EQ(compiled->kernel(), TraverseKernel::kLockstep8);
+  EXPECT_STREQ(compiled->kernel_name(), "lockstep8");
+  EXPECT_EQ(compiled->kernel_id(), 3u);
+  BinaryWriter writer;
+  compiled->Serialize(&writer);
+  BinaryReader reader(writer.buffer());
+  auto loaded = CompiledEnsemble::Deserialize(&reader);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded->kernel(), TraverseKernel::kLockstep8);
+  // Pinning is honored and reported, both ways.
+  compiled->ForceKernel(TraverseKernel::kScalar);
+  EXPECT_EQ(compiled->kernel(), TraverseKernel::kScalar);
+  EXPECT_STREQ(compiled->kernel_name(), "scalar");
+  EXPECT_EQ(compiled->kernel_id(), 1u);
+  compiled->ForceKernel(TraverseKernel::kLockstep8);
+  EXPECT_EQ(compiled->kernel(), TraverseKernel::kLockstep8);
+  // An explicit CompileOptions kernel is honored too.
+  auto scalar = CompiledEnsemble::Compile(
+      model, CompileOptions{.kernel = TraverseKernel::kScalar});
+  ASSERT_TRUE(scalar.ok());
+  EXPECT_EQ(scalar->kernel(), TraverseKernel::kScalar);
+  // Wire id names: 0 is the reference path, live kernel ids map to their
+  // names, and the retired ids 2 and 4 (and anything past them) are
+  // unknown.
   EXPECT_STREQ(TraverseKernelIdName(0), "reference");
-  EXPECT_STREQ(
-      TraverseKernelIdName(static_cast<uint64_t>(TraverseKernel::kLockstep8)),
-      "lockstep8");
+  EXPECT_STREQ(TraverseKernelIdName(1), "scalar");
+  EXPECT_STREQ(TraverseKernelIdName(2), "unknown");
+  EXPECT_STREQ(TraverseKernelIdName(3), "lockstep8");
+  EXPECT_STREQ(TraverseKernelIdName(4), "unknown");
+  EXPECT_STREQ(TraverseKernelIdName(5), "unknown");
 }
 
 }  // namespace

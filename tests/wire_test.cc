@@ -1,4 +1,4 @@
-// End-to-end tests of the out-of-process serving stack: net::WireServer +
+// End-to-end tests of the out-of-process serving stack: net::ReactorServer +
 // net::WireClient over a loopback Unix socket, the named ModelRegistry
 // with rollback, ScoringService::PublishAll, and the post-publish
 // template-cache warmer.
@@ -21,9 +21,9 @@
 #include "engine/model_registry.h"
 #include "engine/scoring_service.h"
 #include "net/frame.h"
+#include "net/reactor_server.h"
 #include "net/socket.h"
 #include "net/wire_client.h"
-#include "net/wire_server.h"
 #include "util/io.h"
 #include "util/strings.h"
 #include "workloads/dataset.h"
@@ -252,7 +252,7 @@ TEST_F(WireTest, PingScoreAndStatsOverUnixSocket) {
   engine::ScoringService service({model_});
   engine::ModelRegistry registry;
   ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
-  net::WireServer server(&service, &registry, "default");
+  net::ReactorServer server(&service, &registry, "default");
   const std::string address = SocketAddress("basic");
   ASSERT_TRUE(server.Listen(address).ok());
   ASSERT_TRUE(server.Start().ok());
@@ -297,7 +297,7 @@ TEST_F(WireTest, PingScoreAndStatsOverUnixSocket) {
 
 TEST_F(WireTest, ConcurrentClientsAllBitwise) {
   engine::ScoringService service({model_, model_});
-  net::WireServer server(&service, nullptr, "default");
+  net::ReactorServer server(&service, nullptr, "default");
   const std::string address = SocketAddress("conc");
   ASSERT_TRUE(server.Listen(address).ok());
   ASSERT_TRUE(server.Start().ok());
@@ -344,7 +344,7 @@ TEST_F(WireTest, PublishUnderTrafficThenRollbackRestoresPriorEpochScores) {
   service.SetWarmCorpus(&dataset_->records);
   engine::ModelRegistry registry;
   ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
-  net::WireServer server(&service, &registry, "default");
+  net::ReactorServer server(&service, &registry, "default");
   const std::string address = SocketAddress("pub");
   ASSERT_TRUE(server.Listen(address).ok());
   ASSERT_TRUE(server.Start().ok());
@@ -414,7 +414,7 @@ TEST_F(WireTest, PublishUnderTrafficThenRollbackRestoresPriorEpochScores) {
 
 TEST_F(WireTest, MalformedFramesGetCleanErrorsAndServerSurvives) {
   engine::ScoringService service({model_});
-  net::WireServer server(&service, nullptr, "default");
+  net::ReactorServer server(&service, nullptr, "default");
   const std::string address = SocketAddress("bad");
   ASSERT_TRUE(server.Listen(address).ok());
   ASSERT_TRUE(server.Start().ok());
@@ -467,7 +467,7 @@ TEST_F(WireTest, MalformedFramesGetCleanErrorsAndServerSurvives) {
   // The server is still healthy for well-behaved clients.
   net::WireClient client(address);
   EXPECT_TRUE(client.Ping().ok());
-  EXPECT_GT(server.stats().protocol_errors, 0u);
+  EXPECT_GT(server.stats().wire.protocol_errors, 0u);
   server.Shutdown();
   service.Stop();
 }
@@ -476,7 +476,7 @@ TEST_F(WireTest, PublishRejectsCorruptArtifactAndKeepsServing) {
   engine::ScoringService service({model_});
   engine::ModelRegistry registry;
   ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
-  net::WireServer server(&service, &registry, "default");
+  net::ReactorServer server(&service, &registry, "default");
   const std::string address = SocketAddress("corrupt");
   ASSERT_TRUE(server.Listen(address).ok());
   ASSERT_TRUE(server.Start().ok());
@@ -522,7 +522,7 @@ TEST_F(WireTest, PublishChecksumCatchesWireCorruptionBeforeAnyEpoch) {
   engine::ScoringService service({model_});
   engine::ModelRegistry registry;
   ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
-  net::WireServer server(&service, &registry, "default");
+  net::ReactorServer server(&service, &registry, "default");
   const std::string address = SocketAddress("cksum");
   ASSERT_TRUE(server.Listen(address).ok());
   ASSERT_TRUE(server.Start().ok());
@@ -571,7 +571,7 @@ TEST_F(WireTest, PublishedArtifactServesThroughCompiledEnsemble) {
   engine::ScoringService service({model2_});
   engine::ModelRegistry registry;
   ASSERT_TRUE(registry.Record("default", Borrow(model2_)).ok());
-  net::WireServer server(&service, &registry, "default");
+  net::ReactorServer server(&service, &registry, "default");
   const std::string address = SocketAddress("compiled");
   ASSERT_TRUE(server.Listen(address).ok());
   ASSERT_TRUE(server.Start().ok());
@@ -609,13 +609,13 @@ TEST_F(WireTest, PublishedArtifactServesThroughCompiledEnsemble) {
 TEST_F(WireTest, ClientReconnectsAfterServerRestart) {
   engine::ScoringService service({model_});
   const std::string address = SocketAddress("restart");
-  auto server = std::make_unique<net::WireServer>(&service, nullptr, "d");
+  auto server = std::make_unique<net::ReactorServer>(&service, nullptr, "d");
   ASSERT_TRUE(server->Listen(address).ok());
   ASSERT_TRUE(server->Start().ok());
   net::WireClient client(address);
   ASSERT_TRUE(client.Ping().ok());
   server->Shutdown();
-  server = std::make_unique<net::WireServer>(&service, nullptr, "d");
+  server = std::make_unique<net::ReactorServer>(&service, nullptr, "d");
   ASSERT_TRUE(server->Listen(address).ok());
   ASSERT_TRUE(server->Start().ok());
   // The pooled connection died with the old server; the next call must
