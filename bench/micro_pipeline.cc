@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the hot pipeline components:
 // SQL parsing, planning, plan featurization (TR2), EXPLAIN round-trip,
-// template assignment (IN3), histogram construction (IN4), the end-to-end
+// query-log ingest (streaming reader and whole-file load), template
+// assignment (IN3), histogram construction (IN4), the end-to-end
 // LearnedWMP inference path (IN1-IN5), and the batched serving path
 // (engine::BatchScorer) vs the scalar per-query loop.
 //
@@ -11,6 +12,11 @@
 // trajectory.
 
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <unistd.h>
 
 #include "core/featurizer.h"
 #include "core/histogram.h"
@@ -24,6 +30,7 @@
 #include "util/arena.h"
 #include "util/parallel.h"
 #include "workloads/dataset.h"
+#include "workloads/log_io.h"
 
 namespace {
 
@@ -119,6 +126,66 @@ void BM_PredictWorkload(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PredictWorkload);
+
+// ---------------------------------------------------------------------------
+// Query-log ingest: a generated 4k-record TPC-DS log read back through
+// QueryLogReader (4096-record chunks, the chunk size perfbench streams
+// with) and through LoadQueryLog. Both parse SQL and EXPLAIN text and
+// recompute plan features per record; `items_per_second` is records/sec.
+// ---------------------------------------------------------------------------
+struct IngestLog {
+  std::string path;
+  int64_t records = 0;
+
+  ~IngestLog() { std::remove(path.c_str()); }
+
+  static const IngestLog& Get() {
+    static const IngestLog log = [] {
+      IngestLog l;
+      workloads::DatasetOptions opt;
+      opt.num_queries = 4000;
+      opt.seed = 29;
+      auto d = workloads::BuildDataset(workloads::Benchmark::kTpcds, opt);
+      l.path = (std::filesystem::temp_directory_path() /
+                ("wmp_micro_ingest_" + std::to_string(::getpid()) + ".log"))
+                   .string();
+      if (!d.ok() || !workloads::WriteQueryLog(d->records, l.path).ok()) {
+        std::fprintf(stderr, "cannot write ingest log %s\n", l.path.c_str());
+        std::abort();
+      }
+      l.records = static_cast<int64_t>(d->records.size());
+      return l;
+    }();
+    return log;
+  }
+};
+
+void BM_QueryLogReader(benchmark::State& state) {
+  const IngestLog& log = IngestLog::Get();
+  std::vector<workloads::QueryRecord> chunk;
+  for (auto _ : state) {
+    auto reader = workloads::QueryLogReader::Open(log.path);
+    for (;;) {
+      chunk.clear();
+      auto n = reader->ReadChunk(4096, &chunk);
+      if (!n.ok()) state.SkipWithError(n.status().ToString().c_str());
+      if (!n.ok() || *n == 0) break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * log.records);
+}
+BENCHMARK(BM_QueryLogReader)->Unit(benchmark::kMillisecond);
+
+void BM_LoadQueryLog(benchmark::State& state) {
+  const IngestLog& log = IngestLog::Get();
+  for (auto _ : state) {
+    auto records = workloads::LoadQueryLog(log.path);
+    if (!records.ok()) state.SkipWithError(records.status().ToString().c_str());
+    benchmark::DoNotOptimize(records);
+  }
+  state.SetItemsProcessed(state.iterations() * log.records);
+}
+BENCHMARK(BM_LoadQueryLog)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Cache-bypass cold path: what a template-cache miss (or a drift/retrain

@@ -1,8 +1,6 @@
 #include "plan/plan_parser.h"
 
-#include <cstdlib>
 #include <memory>
-#include <vector>
 
 #include "util/strings.h"
 
@@ -16,8 +14,16 @@ struct ParsedLine {
   PlanNode* node = nullptr;
 };
 
-Result<ParsedLine> ParseLine(const std::string& line, size_t line_no,
+// Error text quotes at most this many bytes of the offending input.
+constexpr int kQuoteMax = 16;
+
+int QuoteLen(std::string_view s) {
+  return static_cast<int>(s.size() < kQuoteMax ? s.size() : kQuoteMax);
+}
+
+Result<ParsedLine> ParseLine(std::string_view line, size_t line_no,
                              util::Arena* arena) {
+  while (!line.empty() && IsAsciiSpace(line.back())) line.remove_suffix(1);
   ParsedLine out;
   size_t indent = 0;
   while (indent < line.size() && line[indent] == ' ') ++indent;
@@ -27,16 +33,20 @@ Result<ParsedLine> ParseLine(const std::string& line, size_t line_no,
   }
   out.depth = static_cast<int>(indent / 2);
 
-  std::string_view rest = std::string_view(line).substr(indent);
+  std::string_view rest = line.substr(indent);
   // Operator name runs until '(' or whitespace.
   size_t name_end = 0;
   while (name_end < rest.size() && rest[name_end] != '(' &&
          rest[name_end] != ' ') {
     ++name_end;
   }
-  const std::string op_name(rest.substr(0, name_end));
-  WMP_ASSIGN_OR_RETURN(OperatorType op, OperatorTypeFromName(op_name));
-  out.node = arena->New<PlanNode>(arena, op);
+  Result<OperatorType> op = OperatorTypeFromName(rest.substr(0, name_end));
+  if (!op.ok()) {
+    return Status(op.status().code(),
+                  StrFormat("line %zu: %s", line_no,
+                            op.status().message().c_str()));
+  }
+  out.node = arena->New<PlanNode>(arena, *op);
   rest.remove_prefix(name_end);
 
   if (!rest.empty() && rest.front() == '(') {
@@ -73,20 +83,18 @@ Result<ParsedLine> ParseLine(const std::string& line, size_t line_no,
     const size_t eq = rest.find('=');
     if (eq == std::string_view::npos) {
       return Status::InvalidArgument(
-          StrFormat("line %zu: malformed field near '%s'", line_no,
-                    std::string(rest.substr(0, 16)).c_str()));
+          StrFormat("line %zu: malformed field near '%.*s'", line_no,
+                    QuoteLen(rest), rest.data()));
     }
-    const std::string key(rest.substr(0, eq));
+    const std::string_view key = rest.substr(0, eq);
     rest.remove_prefix(eq + 1);
-    size_t val_end = rest.find(' ');
-    if (val_end == std::string_view::npos) val_end = rest.size();
-    const std::string value(rest.substr(0, val_end));
-    rest.remove_prefix(val_end);
-    char* endp = nullptr;
-    const double v = std::strtod(value.c_str(), &endp);
-    if (endp == value.c_str()) {
-      return Status::InvalidArgument(
-          StrFormat("line %zu: non-numeric value for %s", line_no, key.c_str()));
+    const std::string_view value = rest.substr(0, rest.find(' '));
+    rest.remove_prefix(value.size());
+    double v = 0.0;
+    if (!ParseDouble(value, &v)) {
+      return Status::InvalidArgument(StrFormat(
+          "line %zu: malformed number for %.*s: '%.*s'", line_no,
+          QuoteLen(key), key.data(), QuoteLen(value), value.data()));
     }
     if (key == "in") {
       out.node->input_card = v;
@@ -99,10 +107,15 @@ Result<ParsedLine> ParseLine(const std::string& line, size_t line_no,
     } else if (key == "width") {
       out.node->row_width = v;
     } else if (key == "keys") {
+      if (!(v > -2147483649.0 && v < 2147483648.0)) {  // also rejects NaN
+        return Status::InvalidArgument(
+            StrFormat("line %zu: keys out of range", line_no));
+      }
       out.node->num_keys = static_cast<int>(v);
     } else {
       return Status::InvalidArgument(
-          StrFormat("line %zu: unknown field '%s'", line_no, key.c_str()));
+          StrFormat("line %zu: unknown field '%.*s'", line_no, QuoteLen(key),
+                    key.data()));
     }
   }
   return out;
@@ -110,46 +123,57 @@ Result<ParsedLine> ParseLine(const std::string& line, size_t line_no,
 
 }  // namespace
 
-Result<PlanNode*> ParseExplainInto(const std::string& text,
-                                   util::Arena* arena) {
-  std::vector<std::string> lines = Split(text, '\n');
-  // Stack of (depth, node*) for parent attachment.
-  PlanNode* root = nullptr;
-  std::vector<std::pair<int, PlanNode*>> stack;
-  size_t line_no = 0;
-  for (const std::string& raw : lines) {
-    ++line_no;
-    if (Trim(raw).empty()) continue;
-    WMP_ASSIGN_OR_RETURN(ParsedLine parsed, ParseLine(raw, line_no, arena));
-    if (root == nullptr) {
-      if (parsed.depth != 0) {
-        return Status::InvalidArgument("first plan line must not be indented");
-      }
-      root = parsed.node;
-      stack.push_back({0, root});
-      continue;
-    }
-    // Pop to the parent level.
-    while (!stack.empty() && stack.back().first >= parsed.depth) {
-      stack.pop_back();
-    }
-    if (stack.empty() || stack.back().first != parsed.depth - 1) {
-      return Status::InvalidArgument(
-          StrFormat("line %zu: indentation skips a level", line_no));
-    }
-    PlanNode* parent = stack.back().second;
-    parent->children.push_back(parsed.node);
-    stack.push_back({parsed.depth, parsed.node});
-  }
-  if (root == nullptr) {
-    return Status::InvalidArgument("empty plan text");
-  }
-  return root;
+void ExplainBuilder::Reset(util::Arena* arena) {
+  arena_ = arena;
+  root_ = nullptr;
+  stack_.clear();
 }
 
-Result<PlanTree> ParseExplain(const std::string& text) {
+Status ExplainBuilder::AddLine(std::string_view line, size_t line_no) {
+  WMP_ASSIGN_OR_RETURN(ParsedLine parsed, ParseLine(line, line_no, arena_));
+  if (root_ == nullptr) {
+    if (parsed.depth != 0) {
+      return Status::InvalidArgument(StrFormat(
+          "line %zu: first plan line must not be indented", line_no));
+    }
+    root_ = parsed.node;
+    stack_.push_back({0, root_});
+    return Status::OK();
+  }
+  // Pop to the parent level.
+  while (!stack_.empty() && stack_.back().first >= parsed.depth) {
+    stack_.pop_back();
+  }
+  if (stack_.empty() || stack_.back().first != parsed.depth - 1) {
+    return Status::InvalidArgument(
+        StrFormat("line %zu: indentation skips a level", line_no));
+  }
+  stack_.back().second->children.push_back(parsed.node);
+  stack_.push_back({parsed.depth, parsed.node});
+  return Status::OK();
+}
+
+Result<PlanNode*> ExplainBuilder::Finish() const {
+  if (root_ == nullptr) {
+    return Status::InvalidArgument("empty plan text");
+  }
+  return root_;
+}
+
+Result<PlanTree> ParseExplain(std::string_view text) {
   auto arena = std::make_unique<util::Arena>(kPlanArenaChunk);
-  WMP_ASSIGN_OR_RETURN(PlanNode * root, ParseExplainInto(text, arena.get()));
+  ExplainBuilder builder;
+  builder.Reset(arena.get());
+  size_t line_no = 0;
+  while (!text.empty()) {
+    const size_t nl = text.find('\n');
+    const std::string_view line = text.substr(0, nl);
+    text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
+    ++line_no;
+    if (Trim(line).empty()) continue;
+    WMP_RETURN_IF_ERROR(builder.AddLine(line, line_no));
+  }
+  WMP_ASSIGN_OR_RETURN(PlanNode * root, builder.Finish());
   return PlanTree(std::move(arena), root);
 }
 

@@ -9,23 +9,44 @@
 /// without re-planning. `ParseExplain(Explain(p))` reconstructs `p` exactly
 /// (all annotated fields).
 
-#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "plan/plan_node.h"
 #include "util/status.h"
 
 namespace wmp::plan {
 
-/// \brief Parses one EXPLAIN plan. Fails with InvalidArgument on malformed
-/// lines, bad indentation (a child more than one level deeper than its
-/// parent), unknown operators, or empty input. The returned tree owns its
-/// arena.
-Result<PlanTree> ParseExplain(const std::string& text);
+/// \brief Incremental EXPLAIN parser: builds a plan one line at a time into
+/// a caller-owned arena, so a line-oriented reader (the query-log ingest
+/// path) can hand over each plan line as it arrives, without gathering the
+/// block into a string. Every error names the `line_no` it was given.
+class ExplainBuilder {
+ public:
+  /// Starts a new plan whose nodes and strings live in `arena`.
+  void Reset(util::Arena* arena);
 
-/// Batch form: parses into a caller-owned arena (nodes and strings live
-/// there; reset the arena between batches to reuse its chunks).
-Result<PlanNode*> ParseExplainInto(const std::string& text,
-                                   util::Arena* arena);
+  /// Parses one non-blank plan line. Fails with InvalidArgument on
+  /// malformed fields, bad indentation (a child more than one level deeper
+  /// than its parent, an indented first line), and NotFound on an unknown
+  /// operator. Trailing whitespace (a CRLF log's '\r') is ignored.
+  Status AddLine(std::string_view line, size_t line_no);
+
+  /// The plan's root; InvalidArgument if no line was added.
+  Result<PlanNode*> Finish() const;
+
+ private:
+  util::Arena* arena_ = nullptr;
+  PlanNode* root_ = nullptr;
+  // Open (depth, node) path from the root, for parent attachment.
+  std::vector<std::pair<int, PlanNode*>> stack_;
+};
+
+/// \brief Parses one EXPLAIN plan; blank lines are skipped. Errors are those
+/// of ExplainBuilder (line numbers count from 1 within `text`), plus
+/// InvalidArgument for empty input. The returned tree owns its arena.
+Result<PlanTree> ParseExplain(std::string_view text);
 
 }  // namespace wmp::plan
 

@@ -1,26 +1,61 @@
 #include "sql/lexer.h"
 
-#include <cctype>
-#include <set>
-
 #include "util/strings.h"
 
 namespace wmp::sql {
 
 namespace {
 
-// Canonical spellings; keyword tokens view into this static table.
-const std::set<std::string_view>& Keywords() {
-  static const std::set<std::string_view> kKeywords = {
-      "SELECT", "FROM",  "WHERE",    "AND",   "GROUP", "BY",
-      "ORDER",  "LIMIT", "DISTINCT", "AS",    "BETWEEN", "IN",
-      "LIKE",   "COUNT", "SUM",      "AVG",   "MIN",   "MAX",
-      "ASC",    "DESC",  "NOT",      "OR",    "JOIN",  "ON",
-  };
-  return kKeywords;
+// Canonical spellings, grouped by length; keyword tokens view into these.
+constexpr std::string_view kKeywords2[] = {"AS", "BY", "IN", "ON", "OR"};
+constexpr std::string_view kKeywords3[] = {"AND", "ASC", "AVG", "MAX",
+                                           "MIN", "NOT", "SUM"};
+constexpr std::string_view kKeywords4[] = {"DESC", "FROM", "JOIN", "LIKE"};
+constexpr std::string_view kKeywords5[] = {"COUNT", "GROUP", "LIMIT", "ORDER",
+                                           "WHERE"};
+constexpr std::string_view kKeywords6[] = {"SELECT"};
+constexpr std::string_view kKeywords7[] = {"BETWEEN"};
+constexpr std::string_view kKeywords8[] = {"DISTINCT"};
+
+// The keyword in `keywords` equal to `word` ignoring ASCII case, or empty.
+// `word` has the keywords' length. Keywords are all letters, so clearing
+// bit 5 of a byte upper-cases exactly the bytes that can match.
+template <size_t N>
+std::string_view FindIn(const std::string_view (&keywords)[N],
+                        std::string_view word) {
+  for (std::string_view kw : keywords) {
+    size_t j = 0;
+    while (j < kw.size() && (word[j] & ~0x20) == kw[j]) ++j;
+    if (j == kw.size()) return kw;
+  }
+  return {};
 }
 
-constexpr size_t kMaxKeywordLen = 8;  // DISTINCT
+// The canonical keyword equal to `word` ignoring ASCII case, or empty.
+std::string_view FindKeyword(std::string_view word) {
+  switch (word.size()) {
+    case 2: return FindIn(kKeywords2, word);
+    case 3: return FindIn(kKeywords3, word);
+    case 4: return FindIn(kKeywords4, word);
+    case 5: return FindIn(kKeywords5, word);
+    case 6: return FindIn(kKeywords6, word);
+    case 7: return FindIn(kKeywords7, word);
+    case 8: return FindIn(kKeywords8, word);
+  }
+  return {};
+}
+
+// Inline ASCII character classes: the C-locale answers of <cctype>
+// without its per-call locale dispatch (the process never calls
+// setlocale, so the results are identical).
+constexpr bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool IsUpper(char c) { return c >= 'A' && c <= 'Z'; }
+constexpr bool IsLower(char c) { return c >= 'a' && c <= 'z'; }
+constexpr bool IsIdentStart(char c) {
+  return IsUpper(c) || IsLower(c) || c == '_';
+}
+constexpr bool IsIdentChar(char c) { return IsIdentStart(c) || IsDigit(c); }
+constexpr char ToLowerAscii(char c) { return IsUpper(c) ? c - 'A' + 'a' : c; }
 
 const char* SymbolText(char c) {
   switch (c) {
@@ -40,7 +75,7 @@ const char* SymbolText(char c) {
 }  // namespace
 
 bool IsReservedKeyword(std::string_view upper_word) {
-  return Keywords().count(upper_word) > 0;
+  return !FindKeyword(upper_word).empty();
 }
 
 Status LexInto(std::string_view input, util::Arena* arena,
@@ -50,48 +85,37 @@ Status LexInto(std::string_view input, util::Arena* arena,
   const size_t n = input.size();
   while (i < n) {
     const char c = input[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsAsciiSpace(c)) {
       ++i;
       continue;
     }
     const size_t start = i;
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+    if (IsIdentStart(c)) {
       bool has_upper = false;
-      while (i < n && (std::isalnum(static_cast<unsigned char>(input[i])) ||
-                       input[i] == '_')) {
-        has_upper |= std::isupper(static_cast<unsigned char>(input[i])) != 0;
+      while (i < n && IsIdentChar(input[i])) {
+        has_upper |= IsUpper(input[i]);
         ++i;
       }
       const std::string_view word = input.substr(start, i - start);
-      if (word.size() <= kMaxKeywordLen) {
-        char upper[kMaxKeywordLen];
-        for (size_t j = 0; j < word.size(); ++j) {
-          upper[j] = static_cast<char>(
-              std::toupper(static_cast<unsigned char>(word[j])));
-        }
-        auto it = Keywords().find(std::string_view(upper, word.size()));
-        if (it != Keywords().end()) {
-          out->push_back({TokenType::kKeyword, *it, start});
-          continue;
-        }
+      const std::string_view kw = FindKeyword(word);
+      if (!kw.empty()) {
+        out->push_back({TokenType::kKeyword, kw, start});
+        continue;
       }
       std::string_view text = word;
       if (has_upper) {  // lowered copy in the arena
         char* lowered = arena->AllocateArray<char>(word.size());
         for (size_t j = 0; j < word.size(); ++j) {
-          lowered[j] = static_cast<char>(
-              std::tolower(static_cast<unsigned char>(word[j])));
+          lowered[j] = ToLowerAscii(word[j]);
         }
         text = {lowered, word.size()};
       }
       out->push_back({TokenType::kIdentifier, text, start});
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '-' && i + 1 < n &&
-         std::isdigit(static_cast<unsigned char>(input[i + 1])))) {
+    if (IsDigit(c) || (c == '-' && i + 1 < n && IsDigit(input[i + 1]))) {
       ++i;  // sign or first digit
-      while (i < n && (std::isdigit(static_cast<unsigned char>(input[i])) ||
+      while (i < n && (IsDigit(input[i]) ||
                        input[i] == '.' || input[i] == 'e' || input[i] == 'E' ||
                        ((input[i] == '+' || input[i] == '-') &&
                         (input[i - 1] == 'e' || input[i - 1] == 'E')))) {

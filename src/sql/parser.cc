@@ -1,8 +1,5 @@
 #include "sql/parser.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "sql/lexer.h"
 #include "util/arena.h"
 #include "util/interner.h"
@@ -45,6 +42,7 @@ class Parser {
       if (lit.is_string || lit.number < 0) {
         return Error("LIMIT requires a non-negative number");
       }
+      if (!(lit.number < 0x1p63)) return Error("LIMIT out of range");
       q.limit = static_cast<int64_t>(lit.number);
     }
     AcceptSymbol(";");
@@ -112,14 +110,10 @@ class Parser {
 
   Result<Literal> ParseLiteral() {
     if (Peek().type == TokenType::kNumber) {
-      // Token text is not NUL-terminated; strtod needs a bounded copy.
-      char buf[64];
-      const std::string_view text = Advance().text;
-      const size_t len = text.size() < sizeof(buf) - 1 ? text.size()
-                                                       : sizeof(buf) - 1;
-      std::memcpy(buf, text.data(), len);
-      buf[len] = '\0';
-      return Literal::Number(std::strtod(buf, nullptr));
+      double v = 0.0;
+      if (!ParseDouble(Peek().text, &v)) return Error("malformed number");
+      Advance();
+      return Literal::Number(v);
     }
     if (Peek().type == TokenType::kString) {
       return Literal::String(std::string(Advance().text));

@@ -1,8 +1,10 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace wmp {
 
@@ -20,9 +22,52 @@ std::string ToUpper(std::string_view s) {
 
 std::string_view Trim(std::string_view s) {
   size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  while (b < e && IsAsciiSpace(s[b])) ++b;
+  while (e > b && IsAsciiSpace(s[e - 1])) --e;
   return s.substr(b, e - b);
+}
+
+namespace {
+
+// Trims `s` and drops one leading '+' (strtod/atoi accept it, from_chars
+// does not). False when nothing parseable is left.
+bool PrepareNumber(std::string_view* s) {
+  *s = Trim(*s);
+  if (!s->empty() && s->front() == '+') {
+    s->remove_prefix(1);
+    if (!s->empty() && (s->front() == '+' || s->front() == '-')) return false;
+  }
+  return !s->empty();
+}
+
+}  // namespace
+
+bool ParseDouble(std::string_view s, double* out) {
+  if (!PrepareNumber(&s)) return false;
+  const char* end = s.data() + s.size();
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ptr != end) return false;
+  if (ec == std::errc::result_out_of_range) {
+    // from_chars leaves `v` untouched here; strtod rounds to +-inf or to
+    // the nearest subnormal/zero, which is what these tokens always loaded
+    // as.
+    v = std::strtod(std::string(s).c_str(), nullptr);
+  } else if (ec != std::errc()) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+bool ParseInt(std::string_view s, int* out) {
+  if (!PrepareNumber(&s)) return false;
+  const char* end = s.data() + s.size();
+  int v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ptr != end || ec != std::errc()) return false;
+  *out = v;
+  return true;
 }
 
 std::vector<std::string> Split(std::string_view s, char sep) {

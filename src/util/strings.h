@@ -16,8 +16,27 @@ std::string ToLower(std::string_view s);
 /// ASCII upper-case copy.
 std::string ToUpper(std::string_view s);
 
-/// Strips leading/trailing whitespace.
+/// True for the C-locale whitespace set: space, \t, \n, \v, \f, \r.
+constexpr bool IsAsciiSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// Strips leading/trailing whitespace (IsAsciiSpace).
 std::string_view Trim(std::string_view s);
+
+/// \brief Parses all of `s` as a decimal floating-point number; surrounding
+/// whitespace is allowed, anything else left over is an error.
+///
+/// Grammar: [+|-] digits [. digits] [(e|E) [+|-] digits], or inf, infinity,
+/// nan (any case, optional sign). Results are bitwise those of strtod:
+/// std::from_chars does the parse, and a value that overflows or underflows
+/// a double (1e400, 1e-400) falls back to strtod for that token, so it
+/// loads as +-inf or the correctly rounded subnormal/zero.
+bool ParseDouble(std::string_view s, double* out);
+
+/// Parses all of `s` as a decimal int ([+|-] digits, surrounding
+/// whitespace allowed); false on trailing junk or overflow.
+bool ParseInt(std::string_view s, int* out);
 
 /// Splits on a single character; empty pieces are kept.
 std::vector<std::string> Split(std::string_view s, char sep);

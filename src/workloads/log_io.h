@@ -14,9 +14,25 @@
 ///   RETURN in=... out=... width=...
 ///     SORT ...
 ///   <blank line terminates the record>
+///
+/// Lines end in "\n". A "\r\n" (CRLF) log is accepted too: the '\r' is
+/// whitespace to every field, though it stays part of the SQL text. Every
+/// number must fill its whole field; surrounding whitespace is allowed.
+///   - `memory_mb`, `dbms_estimate_mb` and the plan fields `in`, `out`,
+///     `tin`, `tout`, `width`, `keys` are decimal floats: [+|-] digits
+///     with an optional fraction and (e|E)[+|-] exponent, or inf,
+///     infinity, nan in any case. `keys` must also fit an int.
+///   - `family` is a decimal int: [+|-] digits.
+/// Values load bitwise as strtod reads them, also when they overflow or
+/// underflow a double (1e400 loads as inf, 1e-400 as 0). NaN payloads
+/// ("nan(...)") are not kept. Anything else ("abc", "12.5x",
+/// "width=8junk", hex) fails the load with a line-annotated
+/// InvalidArgument.
 
 #include <fstream>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -35,36 +51,43 @@ Status WriteQueryLog(const std::vector<QueryRecord>& records,
 /// Each record's SQL is re-parsed into an AST and its EXPLAIN block into a
 /// plan tree; plan features are recomputed from the parsed plan. Records
 /// missing the optional fields get `dbms_estimate_mb = 0` and
-/// `family_id = -1`. Malformed records fail the whole load with a
-/// line-annotated error.
+/// `family_id = -1`. Malformed records fail the whole load with an error
+/// naming the log-file line. Drains a QueryLogReader, so the file is never
+/// held in memory whole.
 Result<std::vector<QueryRecord>> LoadQueryLog(const std::string& path);
 
 /// In-memory variants (for tests and piping).
 std::string SerializeQueryLog(const std::vector<QueryRecord>& records);
-Result<std::vector<QueryRecord>> ParseQueryLog(const std::string& text);
+Result<std::vector<QueryRecord>> ParseQueryLog(std::string_view text);
 
 /// \brief Streaming reader of the query-log format.
 ///
-/// `LoadQueryLog` slurps the whole file — fine for experiments, but a
-/// production site's log is arbitrarily large while scoring only ever
+/// A production site's log is arbitrarily large while scoring only ever
 /// needs one workload's worth of records at a time. The reader parses
 /// records incrementally (the format is line-oriented and
 /// blank-line-delimited, so record boundaries need no lookahead) and
 /// hands them out in caller-sized chunks; `wmpctl score` streams a log
 /// through the scorer this way with a resident set capped at one chunk.
+/// LoadQueryLog and ParseQueryLog are drains of this reader.
 ///
-/// Chunks are fingerprinted on the way out (same as LoadQueryLog), so
-/// serving-layer cache keys are identical whether a record arrived via a
-/// chunk or a whole-file load.
+/// Each byte is parsed once, in place: the file is read in fixed-size
+/// blocks, lines are views into the block, and SQL, directives and plan
+/// lines are parsed straight from those views (plan nodes land in the
+/// record's own arena) — no per-line or per-field heap strings.
+///
+/// Chunks are fingerprinted on the way out, so serving-layer cache keys
+/// are identical however a record was ingested.
 class QueryLogReader {
  public:
   /// Opens `path`; fails with IOError when unreadable.
   static Result<QueryLogReader> Open(const std::string& path);
+  /// Reads an in-memory log; `text` must outlive the reader.
+  static QueryLogReader FromText(std::string_view text);
 
   /// Parses up to `max_records` further records into `*out` (appended;
   /// existing elements untouched). Returns the number appended — 0 means
-  /// clean end of log. Malformed records fail with a line-annotated error,
-  /// like ParseQueryLog.
+  /// clean end of log. Malformed records fail with an error naming the
+  /// log-file line.
   Result<size_t> ReadChunk(size_t max_records, std::vector<QueryRecord>* out);
 
   /// True once the last record has been returned.
@@ -75,7 +98,19 @@ class QueryLogReader {
  private:
   QueryLogReader() = default;
 
+  /// Next line without its '\n' (a view valid until the next call), or
+  /// false at end of input.
+  bool NextLine(std::string_view* line);
+  /// Moves the partial line in `pending_` to the buffer front and reads
+  /// the next block after it; false at end of file.
+  bool Refill();
+
   std::ifstream in_;
+  // File mode: read buffer (heap, so `pending_` survives moves).
+  std::unique_ptr<char[]> buf_;
+  size_t buf_cap_ = 0;
+  // Unconsumed input: a view into `buf_`, or into the caller's text.
+  std::string_view pending_;
   size_t line_no_ = 0;
   size_t records_read_ = 0;
   bool exhausted_ = false;

@@ -364,6 +364,35 @@ TEST(PlanParserTest, RejectsMalformedInput) {
   EXPECT_TRUE(ParseExplain("RETURN in=x out=1").status().IsInvalidArgument());
   EXPECT_TRUE(
       ParseExplain("RETURN bogus=1 out=1").status().IsInvalidArgument());
+  // Numbers must fill their whole field (no silent truncation).
+  for (const char* bad :
+       {"RETURN in=1 out=1 width=8junk", "RETURN in=1x out=1",
+        "RETURN in= out=1", "RETURN in=1.2.3 out=1", "RETURN in=0x10 out=1",
+        "RETURN in=1 out=--1", "RETURN in=1 keys=2q", "RETURN in=1 keys=1e300",
+        "RETURN in=1 keys=nan"}) {
+    const Status st = ParseExplain(bad).status();
+    EXPECT_TRUE(st.IsInvalidArgument()) << bad << " -> " << st.ToString();
+    EXPECT_NE(st.message().find("line 1"), std::string::npos) << st.ToString();
+  }
+  // Errors name the line within the text; unknown operators stay NotFound.
+  const Status unknown = ParseExplain("RETURN in=1 out=1\n  BOGUS in=1").status();
+  EXPECT_TRUE(unknown.IsNotFound()) << unknown.ToString();
+  EXPECT_NE(unknown.message().find("line 2"), std::string::npos)
+      << unknown.ToString();
+}
+
+TEST(PlanParserTest, AcceptsCrlfAndSurroundingWhitespace) {
+  auto lf = ParseExplain(
+      "RETURN in=1 out=2 width=8 hash\n  SORT in=3 out=3 width=8 keys=2\n");
+  auto crlf = ParseExplain(
+      "RETURN in=1 out=2 width=8 hash\r\n  SORT in=3 out=3 width=8 keys=2\r\n");
+  ASSERT_TRUE(lf.ok()) << lf.status().ToString();
+  ASSERT_TRUE(crlf.ok()) << crlf.status().ToString();
+  EXPECT_EQ(Explain(**crlf), Explain(**lf));
+  auto spaced = ParseExplain("RETURN in=+1 out=2\t width=8  ");
+  ASSERT_TRUE(spaced.ok()) << spaced.status().ToString();
+  EXPECT_DOUBLE_EQ((*spaced)->input_card, 1.0);
+  EXPECT_DOUBLE_EQ((*spaced)->row_width, 8.0);
 }
 
 // ---------- features ----------

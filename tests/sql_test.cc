@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 #include "sql/lexer.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
@@ -30,6 +32,27 @@ TEST(LexerTest, NumbersAndStrings) {
   EXPECT_EQ((*tokens)[2].text, "1e6");
   EXPECT_EQ((*tokens)[3].type, TokenType::kString);
   EXPECT_EQ((*tokens)[3].text, "o'brien");
+}
+
+// The lexer's inline character classes against <cctype> in the "C" locale:
+// a space byte splits two identifiers, and an isalnum byte or '_'
+// continues one (lowered as tolower does).
+TEST(LexerTest, CharacterClassesMatchCLocale) {
+  for (int c = 1; c < 256; ++c) {
+    SCOPED_TRACE(c);
+    auto tokens = Lex(std::string("a") + static_cast<char>(c) + "b");
+    if (std::isspace(c)) {
+      ASSERT_TRUE(tokens.ok());
+      ASSERT_EQ(tokens->size(), 3u);
+      EXPECT_EQ((*tokens)[1].text, "b");
+    } else if (std::isalnum(c) || c == '_') {
+      ASSERT_TRUE(tokens.ok());
+      ASSERT_EQ(tokens->size(), 2u);
+      EXPECT_EQ((*tokens)[0].type, TokenType::kIdentifier);
+      EXPECT_EQ((*tokens)[0].text,
+                std::string("a") + static_cast<char>(std::tolower(c)) + "b");
+    }
+  }
 }
 
 TEST(LexerTest, TwoCharOperators) {
@@ -121,6 +144,21 @@ TEST(ParserTest, SyntaxErrorsAnnotated) {
   EXPECT_TRUE(Parse("SELECT a FROM t extra junk ho")
                   .status()
                   .IsInvalidArgument());
+}
+
+TEST(ParserTest, MalformedNumbersRejected) {
+  for (const char* sql : {"SELECT a FROM t WHERE a = 1.2.3",
+                          "SELECT a FROM t WHERE a = 1e",
+                          "SELECT a FROM t WHERE a = 2e5e5",
+                          "SELECT a FROM t LIMIT 1e400"}) {
+    const Status st = Parse(sql).status();
+    EXPECT_TRUE(st.IsInvalidArgument()) << sql << " -> " << st.ToString();
+    EXPECT_NE(st.message().find("offset"), std::string::npos);
+  }
+  auto q = Parse("SELECT a FROM t WHERE a = 1e3 LIMIT 7");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(q->where[0].values[0].number, 1000.0);
+  EXPECT_EQ(q->limit, 7);
 }
 
 TEST(ParserTest, TrailingSemicolonAccepted) {
