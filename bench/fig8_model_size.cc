@@ -10,10 +10,7 @@
 //
 // `model_bytes` is the production codec — the bin-space compiled form for
 // the tree families (ml/compiled_tree.h): one shared edge table plus
-// (child i32, feature u16, code u8/u16) per node. The `pointer` column is
-// what the same regressor would occupy under the legacy five-8-byte-field
-// node codec, so the table (and the --json records) show the compiled
-// codec's shrink factor per family.
+// (child i32, feature u16, code u8/u16) per node.
 
 #include <cstdio>
 #include <iostream>
@@ -32,19 +29,13 @@ struct SizeRow {
   std::string model;   // "SingleWMP" or "LearnedWMP"
   std::string family;  // "XGB", "DT", ...
   size_t bytes = 0;
-  size_t pointer_bytes = 0;
 };
 
 std::string ToJson(const SizeRow& r) {
   return StrFormat(
       "{\"figure\":\"fig8_model_size\",\"benchmark\":\"%s\","
-      "\"model\":\"%s\",\"family\":\"%s\",\"bytes\":%zu,"
-      "\"pointer_bytes\":%zu,\"compiled_over_pointer\":%.3f}",
-      r.benchmark.c_str(), r.model.c_str(), r.family.c_str(), r.bytes,
-      r.pointer_bytes,
-      r.pointer_bytes > 0
-          ? static_cast<double>(r.bytes) / static_cast<double>(r.pointer_bytes)
-          : 1.0);
+      "\"model\":\"%s\",\"family\":\"%s\",\"bytes\":%zu}",
+      r.benchmark.c_str(), r.model.c_str(), r.family.c_str(), r.bytes);
 }
 
 struct FamilySizes {
@@ -76,29 +67,18 @@ int main(int argc, char** argv) {
       row.model = learned ? "LearnedWMP" : "SingleWMP";
       row.family = family;
       row.bytes = r.model_bytes;
-      row.pointer_bytes = r.pointer_model_bytes;
     }
     TablePrinter table(
         StrFormat("Fig. 8 — %s model size (kB)", result->benchmark.c_str()));
-    table.SetHeader({"family", "SingleWMP", "LearnedWMP", "Learned/Single",
-                     "Single ptr", "Learned ptr", "compiled/ptr"});
+    table.SetHeader({"family", "SingleWMP", "LearnedWMP", "Learned/Single"});
     for (const auto& [family, sizes] : by_family) {
       const SizeRow& s = sizes.single;
       const SizeRow& l = sizes.learned;
-      const size_t ptr_total = s.pointer_bytes + l.pointer_bytes;
-      const size_t total = s.bytes + l.bytes;
       table.AddRow(
           {family, StrFormat("%.1f", s.bytes / 1024.0),
            StrFormat("%.1f", l.bytes / 1024.0),
            StrFormat("%.0f%%", 100.0 * static_cast<double>(l.bytes) /
-                                   static_cast<double>(s.bytes)),
-           StrFormat("%.1f", s.pointer_bytes / 1024.0),
-           StrFormat("%.1f", l.pointer_bytes / 1024.0),
-           ptr_total > 0 ? StrFormat("%.0f%%", 100.0 *
-                                                   static_cast<double>(total) /
-                                                   static_cast<double>(
-                                                       ptr_total))
-                         : std::string("n/a")});
+                                   static_cast<double>(s.bytes))});
       rows.push_back(s);
       rows.push_back(l);
     }

@@ -222,22 +222,27 @@ int main(int argc, char** argv) {
   lopt.templates.num_templates = 16;
   lopt.batch_size = cfg.batch_size;
   lopt.seed = cfg.seed;
-  auto model = core::LearnedWmpModel::Train(
+  auto trained = core::LearnedWmpModel::Train(
       data->dataset.records, data->train_indices, *data->dataset.generator,
       lopt);
-  if (!model.ok()) {
-    std::cerr << "train failed: " << model.status() << "\n";
+  if (!trained.ok()) {
+    std::cerr << "train failed: " << trained.status() << "\n";
     return 1;
   }
+  // Non-const: the kernel and pruning phases reconfigure the served model
+  // between runs.
+  auto model = std::make_shared<core::LearnedWmpModel>(std::move(*trained));
   core::LearnedWmpOptions lopt2 = lopt;
   lopt2.seed = cfg.seed + 1;  // distinct centroids + trees: a real retrain
-  auto model2 = core::LearnedWmpModel::Train(
+  auto trained2 = core::LearnedWmpModel::Train(
       data->dataset.records, data->train_indices, *data->dataset.generator,
       lopt2);
-  if (!model2.ok()) {
-    std::cerr << "train (swap payload) failed: " << model2.status() << "\n";
+  if (!trained2.ok()) {
+    std::cerr << "train (swap payload) failed: " << trained2.status() << "\n";
     return 1;
   }
+  auto model2 =
+      std::make_shared<const core::LearnedWmpModel>(std::move(*trained2));
   const auto& records = data->dataset.records;
   const auto batches =
       engine::MakeConsecutiveBatches(records.size(), cfg.batch_size);
@@ -271,8 +276,8 @@ int main(int argc, char** argv) {
                            const std::vector<core::WorkloadBatch>& batches,
                            engine::ScoringServiceOptions sopt) {
     engine::ScoringService service(
-        std::vector<const core::LearnedWmpModel*>(
-            static_cast<size_t>(shards), &*model),
+        std::vector<std::shared_ptr<const core::LearnedWmpModel>>(
+            static_cast<size_t>(shards), model),
         sopt);
     DriveResult d =
         Drive(&service, records, batches, clients, passes, pipelined);
@@ -364,7 +369,7 @@ int main(int argc, char** argv) {
     engine::ScoringServiceOptions sopt;
     sopt.max_batch = 1024;
     sopt.max_delay_us = 25;
-    engine::ScoringService service({&*model}, sopt);
+    engine::ScoringService service({model}, sopt);
     // Warm pass: consecutive grouping fills both cache levels.
     DriveResult warm = Drive(&service, records, batches, clients, 1, true);
     const engine::ServiceStats warm_st = service.stats();
@@ -442,7 +447,7 @@ int main(int argc, char** argv) {
     engine::ScoringServiceOptions sopt;
     sopt.max_batch = 1024;
     sopt.max_delay_us = 25;
-    engine::ScoringService service({&*model}, sopt);
+    engine::ScoringService service({model}, sopt);
     std::thread publisher([&] {
       // Swap once the stream is demonstrably live (mid-first-pass), gated
       // on completed requests rather than a sleep so a fast machine can't
@@ -450,7 +455,7 @@ int main(int argc, char** argv) {
       // be harmless — but then the phase would measure nothing.
       const uint64_t live_mark = batches.size() / 2 + 1;
       while (service.stats().completed < live_mark) std::this_thread::yield();
-      (void)service.PublishModel(0, {std::shared_ptr<const void>(), &*model2});
+      (void)service.PublishModel(0, model2);
     });
     DriveResult d = Drive(&service, records, batches, clients, passes, true);
     publisher.join();
@@ -550,7 +555,7 @@ int main(int argc, char** argv) {
     sopt.max_batch = 1024;
     sopt.max_delay_us = 25;
     model->set_compiled_inference(false);
-    engine::ScoringService ref_service({&*model}, sopt);
+    engine::ScoringService ref_service({model}, sopt);
     DriveResult ref = Drive(&ref_service, records, batches, clients, 1, true);
     ref_service.Stop();
     model->set_compiled_inference(true);
@@ -579,7 +584,7 @@ int main(int argc, char** argv) {
         std::cerr << "recompile failed\n";
         return 1;
       }
-      engine::ScoringService service({&*model}, sopt);
+      engine::ScoringService service({model}, sopt);
       DriveResult d = Drive(&service, records, batches, clients, 1, true);
       service.Stop();
       bool bitwise = ref.errors == 0 && d.errors == 0;
@@ -643,7 +648,7 @@ int main(int argc, char** argv) {
     };
     const auto run_cold = [&](const char* mode, bool pruned) {
       model->mutable_templates()->set_pruned_assign(pruned);
-      engine::ScoringService service({&*model}, sopt);
+      engine::ScoringService service({model}, sopt);
       DriveResult d = Drive(&service, records, batches, clients, 1, true);
       service.Stop();
       ColdOut out;

@@ -2,8 +2,8 @@
 //
 // Trains DT / RF / GBT on the two real training designs of the pipeline —
 // the SingleWMP per-query plan-feature matrix and the LearnedWMP workload
-// histogram matrix — once with the retained reference (direct-build)
-// engine and once with the histogram engine (feature-major bins, sibling
+// histogram matrix — once with the direct builders of the test-only
+// reference library (tests/reference/) and once with the histogram engine (feature-major bins, sibling
 // subtraction, pooled buffers, GBT leaf-scatter updates), and reports
 // rows/sec, end-to-end speedup, and the engine's per-phase breakdown
 // (bin / grow / round-update).
@@ -31,6 +31,7 @@
 #include "ml/random_forest.h"
 #include "ml/scaler.h"
 #include "ml/tree_grower.h"
+#include "reference/reference_trees.h"
 
 using namespace wmp;
 
@@ -86,29 +87,31 @@ ml::TreeGrowerStats GrowerStatsOf(const ml::Regressor& model) {
   return {};
 }
 
-// Trains `make(growth)` under both engines and scores the divergence of
-// their train-set predictions (relative, with an absolute floor of 1).
-template <typename Factory>
+// Trains `make()` with the histogram engine and `fit_reference()` with the
+// direct builders, and scores the divergence of their train-set predictions
+// (relative, with an absolute floor of 1).
+template <typename Factory, typename ReferenceFit>
 FamilyRow RunFamily(const std::string& fixture, const std::string& family,
                     const ml::Matrix& x, const std::vector<double>& y,
-                    const Factory& make, bool* ok) {
+                    const Factory& make, const ReferenceFit& fit_reference,
+                    bool* ok) {
   FamilyRow row;
   row.fixture = fixture;
   row.family = family;
   row.rows = x.rows();
   row.cols = x.cols();
 
-  auto reference = make(ml::TreeGrowth::kReference);
   Stopwatch sw;
-  if (Status st = reference->Fit(x, y); !st.ok()) {
-    std::cerr << fixture << "/" << family << " reference fit failed: " << st
-              << "\n";
+  auto reference = fit_reference();
+  if (!reference.ok()) {
+    std::cerr << fixture << "/" << family
+              << " reference fit failed: " << reference.status() << "\n";
     *ok = false;
     return row;
   }
   row.ref_ms = sw.ElapsedMillis();
 
-  auto histogram = make(ml::TreeGrowth::kHistogram);
+  auto histogram = make();
   sw.Reset();
   if (Status st = histogram->Fit(x, y); !st.ok()) {
     std::cerr << fixture << "/" << family << " histogram fit failed: " << st
@@ -126,7 +129,7 @@ FamilyRow RunFamily(const std::string& fixture, const std::string& family,
   row.update_ms = timing.update_ms;
   row.pool_allocs = GrowerStatsOf(*histogram).pool_allocations;
 
-  auto ref_pred = reference->Predict(x);
+  auto ref_pred = (*reference)->Predict(x);
   sw.Reset();
   auto new_pred = histogram->Predict(x);
   row.pred_ms = sw.ElapsedMillis();
@@ -189,41 +192,43 @@ void RunFixture(const std::string& fixture, const ml::Matrix& x,
   // the per-query design and MakeLearnedRegressor's tuned settings for the
   // workload design; GBT likewise (reduced rounds under --quick).
   const bool learned = fixture == "workload";
-  rows->push_back(RunFamily(fixture, "DT", x, y, [&](ml::TreeGrowth growth) {
-    ml::DecisionTreeOptions opt;
-    opt.tree.max_depth = learned ? 8 : 12;
-    opt.tree.min_samples_leaf = learned ? 4 : 2;
-    opt.tree.growth = growth;
-    opt.seed = seed;
-    return std::make_unique<ml::DecisionTreeRegressor>(opt);
-  }, ok));
-  rows->push_back(RunFamily(fixture, "RF", x, y, [&](ml::TreeGrowth growth) {
-    ml::RandomForestOptions opt;
-    opt.num_trees = quick ? 10 : 40;
-    if (learned) {
-      opt.tree.max_depth = 10;
-      opt.tree.min_samples_leaf = 3;
-    }
-    opt.tree.growth = growth;
-    opt.seed = seed;
-    return std::make_unique<ml::RandomForestRegressor>(opt);
-  }, ok));
-  rows->push_back(RunFamily(fixture, "XGB", x, y, [&](ml::TreeGrowth growth) {
-    ml::GbtOptions opt;
-    if (learned) {
-      opt.num_rounds = quick ? 30 : 150;
-      opt.learning_rate = 0.06;
-      opt.max_depth = 4;
-      opt.min_child_weight = 3;
-      opt.colsample = 0.8;
-      opt.subsample = 0.9;
-    } else {
-      opt.num_rounds = quick ? 20 : 80;
-    }
-    opt.growth = growth;
-    opt.seed = seed;
-    return std::make_unique<ml::GbtRegressor>(opt);
-  }, ok));
+  ml::DecisionTreeOptions dt;
+  dt.tree.max_depth = learned ? 8 : 12;
+  dt.tree.min_samples_leaf = learned ? 4 : 2;
+  dt.seed = seed;
+  rows->push_back(RunFamily(
+      fixture, "DT", x, y,
+      [&] { return std::make_unique<ml::DecisionTreeRegressor>(dt); },
+      [&] { return ml::reference::FitDecisionTree(x, y, dt); }, ok));
+
+  ml::RandomForestOptions rf;
+  rf.num_trees = quick ? 10 : 40;
+  if (learned) {
+    rf.tree.max_depth = 10;
+    rf.tree.min_samples_leaf = 3;
+  }
+  rf.seed = seed;
+  rows->push_back(RunFamily(
+      fixture, "RF", x, y,
+      [&] { return std::make_unique<ml::RandomForestRegressor>(rf); },
+      [&] { return ml::reference::FitRandomForest(x, y, rf); }, ok));
+
+  ml::GbtOptions gbt;
+  if (learned) {
+    gbt.num_rounds = quick ? 30 : 150;
+    gbt.learning_rate = 0.06;
+    gbt.max_depth = 4;
+    gbt.min_child_weight = 3;
+    gbt.colsample = 0.8;
+    gbt.subsample = 0.9;
+  } else {
+    gbt.num_rounds = quick ? 20 : 80;
+  }
+  gbt.seed = seed;
+  rows->push_back(RunFamily(
+      fixture, "XGB", x, y,
+      [&] { return std::make_unique<ml::GbtRegressor>(gbt); },
+      [&] { return ml::reference::FitGbt(x, y, gbt); }, ok));
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 
 #include <cstdio>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -50,20 +51,22 @@ int main() {
   }
   core::LearnedWmpOptions opt;
   opt.templates.num_templates = 12;
-  auto model = core::LearnedWmpModel::Train(
+  auto trained = core::LearnedWmpModel::Train(
       dataset->records, core::AllIndices(dataset->records.size()),
       *dataset->generator, opt);
-  if (!model.ok()) {
-    std::fprintf(stderr, "train: %s\n", model.status().ToString().c_str());
+  if (!trained.ok()) {
+    std::fprintf(stderr, "train: %s\n", trained.status().ToString().c_str());
     return 1;
   }
+  auto model =
+      std::make_shared<const core::LearnedWmpModel>(std::move(*trained));
 
   // Two shards over the one model: dispatch spreads across queues while
   // the process-wide worker pool stays shared.
   engine::ScoringServiceOptions sopt;
   sopt.max_batch = 32;
   sopt.max_delay_us = 500;
-  engine::ScoringService service({&*model, &*model}, sopt);
+  engine::ScoringService service({model, model}, sopt);
 
   // Four concurrent sessions, each scoring its own slice of the log —
   // and every session re-submits its first workload, as a steady-state

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "ml/binned.h"
-#include "ml/compiled_tree.h"
 #include "ml/search.h"
 #include "util/strings.h"
 #include "util/timer.h"
@@ -104,8 +103,6 @@ Result<ModelReport> EvaluateLearnedWmp(const ExperimentData& data,
   report.infer_us_per_workload =
       infer_us / static_cast<double>(data.test_batches.size());
   WMP_ASSIGN_OR_RETURN(report.model_bytes, model.RegressorBytes());
-  WMP_ASSIGN_OR_RETURN(report.pointer_model_bytes,
-                       ml::PointerSerializedBytes(model.regressor()));
   if (template_ms_out != nullptr) {
     *template_ms_out = model.train_stats().template_ms;
   }
@@ -137,8 +134,6 @@ Result<ModelReport> EvaluateSingleWmp(const ExperimentData& data,
   report.infer_us_per_workload =
       infer_us / static_cast<double>(data.test_batches.size());
   WMP_ASSIGN_OR_RETURN(report.model_bytes, model.RegressorBytes());
-  WMP_ASSIGN_OR_RETURN(report.pointer_model_bytes,
-                       ml::PointerSerializedBytes(model.regressor()));
   return report;
 }
 

@@ -48,10 +48,6 @@ struct ModelReport {
   ml::FitTiming fit_timing;
   double infer_us_per_workload = 0.0;  ///< Fig. 7
   size_t model_bytes = 0;           ///< serialized regressor (Fig. 8)
-  /// Bytes the same regressor would occupy under the legacy pointer-tree
-  /// codec (five 8-byte fields per node); equals model_bytes for non-tree
-  /// families. fig8's pointer-vs-compiled comparison.
-  size_t pointer_model_bytes = 0;
   std::vector<double> predictions;  ///< per test workload
 };
 

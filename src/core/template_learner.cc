@@ -408,36 +408,40 @@ Result<TemplateModel> TemplateModel::Deserialize(BinaryReader* reader) {
   WMP_ASSIGN_OR_RETURN(uint8_t method, reader->ReadU8());
   model.options_.method = static_cast<TemplateMethod>(method);
   WMP_ASSIGN_OR_RETURN(int64_t k, reader->ReadI64());
-  model.num_templates_ = static_cast<int>(k);
-  model.options_.num_templates = model.num_templates_;
   WMP_ASSIGN_OR_RETURN(uint8_t log_flag, reader->ReadU8());
   model.options_.log_transform_cards = log_flag != 0;
+  const ml::Matrix* centroids = nullptr;
   switch (model.options_.method) {
     case TemplateMethod::kPlanKMeans: {
       WMP_ASSIGN_OR_RETURN(model.scaler_,
                            ml::StandardScaler::Deserialize(reader));
       WMP_ASSIGN_OR_RETURN(model.kmeans_, ml::KMeans::Deserialize(reader));
+      centroids = &model.kmeans_.centroids();
       break;
     }
     case TemplateMethod::kPlanDbscan: {
       WMP_ASSIGN_OR_RETURN(model.scaler_,
                            ml::StandardScaler::Deserialize(reader));
-      WMP_ASSIGN_OR_RETURN(uint64_t rows, reader->ReadU64());
-      WMP_ASSIGN_OR_RETURN(uint64_t cols, reader->ReadU64());
-      WMP_ASSIGN_OR_RETURN(std::vector<double> data, reader->ReadDoubleVec());
-      if (data.size() != rows * cols) {
-        return Status::InvalidArgument("dbscan centroid stream corrupt");
-      }
-      model.dbscan_centroids_ = ml::Matrix(rows, cols, std::move(data));
+      WMP_ASSIGN_OR_RETURN(model.dbscan_centroids_,
+                           ml::ReadCentroidMatrix(reader));
+      centroids = &model.dbscan_centroids_;
       break;
     }
     case TemplateMethod::kRuleBased: {
+      // Smallest encoded rule: empty name, no tables, two i64, two u8.
+      constexpr size_t kMinRuleBytes = 4 + 8 + 8 + 8 + 1 + 1;
       WMP_ASSIGN_OR_RETURN(uint64_t n, reader->ReadU64());
+      if (n > reader->remaining() / kMinRuleBytes) {
+        return Status::InvalidArgument("template rule count out of range");
+      }
       std::vector<text::TemplateRule> rules(n);
       for (uint64_t i = 0; i < n; ++i) {
         text::TemplateRule& rule = rules[i];
         WMP_ASSIGN_OR_RETURN(rule.name, reader->ReadString());
         WMP_ASSIGN_OR_RETURN(uint64_t nt, reader->ReadU64());
+        if (nt > reader->remaining() / 4) {  // u32 length per table name
+          return Status::InvalidArgument("rule table count out of range");
+        }
         rule.required_tables.resize(nt);
         for (uint64_t t = 0; t < nt; ++t) {
           WMP_ASSIGN_OR_RETURN(rule.required_tables[t], reader->ReadString());
@@ -461,6 +465,21 @@ Result<TemplateModel> TemplateModel::Deserialize(BinaryReader* reader) {
     default:
       return Status::InvalidArgument("unsupported serialized template method");
   }
+  // k must be the template count the stream itself carries: centroids for
+  // the clustering methods (whose width must also match the scaler that
+  // feeds them), rules plus the fallback template for the rule method.
+  const int64_t carried = centroids != nullptr
+                              ? static_cast<int64_t>(centroids->rows())
+                              : model.rules_.num_templates();
+  if (k != carried || k > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("template count does not match the stream");
+  }
+  if (centroids != nullptr &&
+      centroids->cols() != model.scaler_.mean().size()) {
+    return Status::InvalidArgument("centroid width does not match the scaler");
+  }
+  model.num_templates_ = static_cast<int>(k);
+  model.options_.num_templates = model.num_templates_;
   model.BuildAssignPath();
   return model;
 }

@@ -252,22 +252,6 @@ void FeatureBinner::BinColumn(size_t f, const double* values, size_t n,
                 out_stride);
 }
 
-Result<std::vector<uint16_t>> FeatureBinner::BinAll(const Matrix& x) const {
-  if (!fitted()) return Status::FailedPrecondition("binner not fitted");
-  if (x.cols() != edges_.size()) {
-    return Status::InvalidArgument("binner column count mismatch");
-  }
-  std::vector<uint16_t> out(x.rows() * x.cols());
-  if (x.rows() == 0) return out;
-  // Feature-at-a-time so each edge array stays hot across the whole column
-  // and the multi-probe searches batch rows of equal trip count.
-  for (size_t f = 0; f < x.cols(); ++f) {
-    BinColumn(f, x.data().data() + f, x.rows(), x.cols(), out.data() + f,
-              x.cols());
-  }
-  return out;
-}
-
 Result<BinnedDataset> BinnedDataset::Build(const Matrix& x, int max_bins) {
   BinnedDataset data;
   WMP_RETURN_IF_ERROR(data.binner_.Fit(x, max_bins));

@@ -13,6 +13,8 @@
 /// fixed-size histogram buffers across tree nodes so steady-state growth
 /// performs zero per-node heap allocations, and `BinnedDatasetCache` lets
 /// several tree learners trained on the same design matrix bin it once.
+/// The row-major `uint16_t` layout the direct (reference) builders consume
+/// lives with them in the test-only library under tests/reference/.
 
 #include <cstdint>
 #include <memory>
@@ -40,11 +42,6 @@ class FeatureBinner {
 
   /// Bin index of `value` for feature `f` (0-based, < NumBins(f)).
   uint16_t BinValue(size_t f, double value) const;
-
-  /// Bins every row of `x`; returns a row-major `n x d` bin-index buffer.
-  /// This is the reference layout the pre-histogram-engine tree builders
-  /// consume; the training hot path uses BinnedDataset instead.
-  Result<std::vector<uint16_t>> BinAll(const Matrix& x) const;
 
   /// \name Multi-probe batch binning — the binning hot path.
   ///
@@ -109,15 +106,6 @@ class FeatureBinner {
   // final bin.
   std::vector<std::vector<double>> edges_;
   std::vector<RadixBuckets> radix_;  // parallel to edges_
-};
-
-/// Selects the tree-growth engine. The histogram engine is the production
-/// path; the reference engine is the original direct builder retained so
-/// equivalence tests and the training benchmark can detect any divergence
-/// the subtraction trick might introduce.
-enum class TreeGrowth {
-  kHistogram,  ///< feature-major bins + sibling subtraction + buffer pool
-  kReference,  ///< row-major direct build (pre-engine behavior)
 };
 
 /// \brief Feature-major binned design matrix shared by the tree trainers.

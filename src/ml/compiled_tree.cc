@@ -698,35 +698,4 @@ Result<CompiledEnsemble> CompiledEnsemble::Deserialize(
   return c;
 }
 
-Result<size_t> PointerSerializedBytes(const Regressor& model) {
-  BinaryWriter writer;
-  if (const auto* dt = dynamic_cast<const DecisionTreeRegressor*>(&model)) {
-    if (!dt->tree().fitted()) {
-      return Status::FailedPrecondition("DT not fitted");
-    }
-    writer.WriteU32(serialize_tags::kDecisionTree);
-    dt->tree().Serialize(&writer);
-    return writer.size();
-  }
-  if (const auto* rf = dynamic_cast<const RandomForestRegressor*>(&model)) {
-    if (rf->trees().empty()) return Status::FailedPrecondition("RF not fitted");
-    writer.WriteU32(serialize_tags::kRandomForest);
-    writer.WriteU64(rf->trees().size());
-    for (const RegressionTree& t : rf->trees()) t.Serialize(&writer);
-    return writer.size();
-  }
-  if (const auto* gbt = dynamic_cast<const GbtRegressor*>(&model)) {
-    if (gbt->trees().empty()) {
-      return Status::FailedPrecondition("GBT not fitted");
-    }
-    writer.WriteU32(serialize_tags::kGbt);
-    writer.WriteDouble(gbt->options().learning_rate);
-    writer.WriteDouble(gbt->base_score());
-    writer.WriteU64(gbt->trees().size());
-    for (const RegressionTree& t : gbt->trees()) t.Serialize(&writer);
-    return writer.size();
-  }
-  return model.SerializedSize();
-}
-
 }  // namespace wmp::ml

@@ -226,12 +226,6 @@ class CompiledEnsemble {
   std::vector<uint32_t> lut_exit_;
 };
 
-/// Byte size of `model` under the retained pointer-tree codec
-/// (RegressionTree::Serialize: five 8-byte fields per node) for the tree
-/// families, and the model's own codec otherwise — Fig. 8's
-/// pointer-vs-compiled comparison column.
-Result<size_t> PointerSerializedBytes(const Regressor& model);
-
 }  // namespace wmp::ml
 
 #endif  // WMP_ML_COMPILED_TREE_H_

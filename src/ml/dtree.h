@@ -7,19 +7,18 @@
 /// Features are quantile-binned once per dataset (`FeatureBinner` /
 /// `BinnedDataset`, ml/binned.h); split search then scans per-bin statistics
 /// instead of sorting rows at every node, which keeps single-core training
-/// fast at the paper's 93k-query scale. The default growth engine
-/// (`TreeGrowth::kHistogram`) works on feature-major bins with sibling
-/// subtraction and a reusable histogram pool (ml/tree_grower.h); the
-/// original direct builder is retained as `TreeGrowth::kReference` for
-/// equivalence testing and benchmarking. The same binning infrastructure is
-/// reused by the random forest and the gradient-boosted trees.
+/// fast at the paper's 93k-query scale. Trees grow on feature-major bins
+/// with sibling subtraction and a reusable histogram pool
+/// (ml/tree_grower.h). The original direct builder lives in the test-only
+/// `wmp_reference` library (tests/reference/) as the equivalence oracle.
+/// The same binning infrastructure is reused by the random forest and the
+/// gradient-boosted trees.
 
 #include <cstdint>
 #include <vector>
 
 #include "ml/binned.h"
 #include "ml/regressor.h"
-#include "util/random.h"
 
 namespace wmp::ml {
 
@@ -49,27 +48,13 @@ struct TreeOptions {
   /// Features examined per split: 0 = all, else ceil(fraction * d).
   double feature_fraction = 0.0;
   int max_bins = 64;
-  /// Growth engine; kReference selects the pre-histogram-engine builder.
-  TreeGrowth growth = TreeGrowth::kHistogram;
 };
 
-/// \brief A single regression tree trained on pre-binned data with variance
-/// reduction as the split criterion. Building block for DecisionTree and
-/// RandomForest regressors.
+/// \brief A single regression tree over raw features. The tree growers
+/// (ml/tree_grower.h) build its nodes; DecisionTree, RandomForest and GBT
+/// regressors hold it.
 class RegressionTree {
  public:
-  /// Reference (direct-build) trainer on rows `row_indices` of the
-  /// row-major binned design. Kept as the equivalence baseline for the
-  /// histogram engine — production training goes through
-  /// VarianceTreeGrower (ml/tree_grower.h) instead.
-  /// \param bins    row-major n x d bin indices from FeatureBinner::BinAll
-  /// \param binner  fitted binner (for raw-value thresholds)
-  /// \param y       targets, length n
-  Status Fit(const std::vector<uint16_t>& bins, size_t num_features,
-             const FeatureBinner& binner, const std::vector<double>& y,
-             const std::vector<uint32_t>& row_indices,
-             const TreeOptions& options, Rng* rng);
-
   /// Predicts from raw (un-binned) features.
   double Predict(const std::vector<double>& x) const;
   double Predict(const double* x, size_t n) const;
@@ -80,9 +65,6 @@ class RegressionTree {
   /// Wraps an externally built node array (the histogram growers and the
   /// gradient booster produce nodes through this).
   static RegressionTree FromNodes(std::vector<TreeNode> nodes);
-
-  void Serialize(BinaryWriter* writer) const;
-  static Result<RegressionTree> Deserialize(BinaryReader* reader);
 
  private:
   std::vector<TreeNode> nodes_;
@@ -112,13 +94,17 @@ class DecisionTreeRegressor : public Regressor {
   Status FitWithSharedBins(const Matrix& x, const std::vector<double>& y,
                            BinnedDatasetCache* cache) override;
 
-  /// Trains on an externally binned design (histogram engine only). The
-  /// dataset's binning governs; sharing one BinnedDataset across DT/RF/GBT
-  /// trained on the same matrix is what BinnedDatasetCache is for.
+  /// Trains on an externally binned design. The dataset's binning governs;
+  /// sharing one BinnedDataset across DT/RF/GBT trained on the same matrix
+  /// is what BinnedDatasetCache is for.
   Status FitFromBinned(const BinnedDataset& data, const std::vector<double>& y);
 
   static Result<std::unique_ptr<DecisionTreeRegressor>> Deserialize(
       BinaryReader* reader);
+
+  /// Wraps an already built tree (Deserialize, and reference builders).
+  static std::unique_ptr<DecisionTreeRegressor> FromTree(
+      RegressionTree tree, DecisionTreeOptions options = {});
 
   const RegressionTree& tree() const { return tree_; }
   const DecisionTreeOptions& options() const { return options_; }

@@ -31,9 +31,6 @@ struct GbtOptions {
   int min_child_weight = 1;     ///< min hessian sum per leaf.
   int max_bins = 64;
   uint64_t seed = 42;
-  /// Growth engine; kReference selects the pre-histogram-engine builder
-  /// (per-node histogram allocation + raw-feature re-traversal per round).
-  TreeGrowth growth = TreeGrowth::kHistogram;
 };
 
 /// \brief XGBoost-style gradient-boosted tree regressor.
@@ -52,15 +49,21 @@ class GbtRegressor : public Regressor {
   Status FitWithSharedBins(const Matrix& x, const std::vector<double>& y,
                            BinnedDatasetCache* cache) override;
 
-  /// Trains on an externally binned design (histogram engine only). Each
-  /// round's in-sample prediction updates come from leaf-membership scatter
-  /// over the grower's partitioned row ranges; out-of-sample rows (when
+  /// Trains on an externally binned design. Each round's in-sample
+  /// prediction updates come from leaf-membership scatter over the
+  /// grower's partitioned row ranges; out-of-sample rows (when
   /// `subsample < 1`) traverse the fresh tree in bin space. Both agree
   /// exactly with raw-feature re-traversal, so the fitted model is
   /// identical to what `Fit` produces on the same binning.
   Status FitFromBinned(const BinnedDataset& data, const std::vector<double>& y);
 
   static Result<std::unique_ptr<GbtRegressor>> Deserialize(BinaryReader* reader);
+
+  /// Wraps already built boosting rounds over `base_score` (Deserialize,
+  /// and reference builders); `options.learning_rate` scales each tree.
+  static std::unique_ptr<GbtRegressor> FromTrees(
+      std::vector<RegressionTree> trees, double base_score,
+      GbtOptions options = {});
 
   size_t num_trees() const { return trees_.size(); }
   const std::vector<RegressionTree>& trees() const { return trees_; }

@@ -172,16 +172,21 @@ Result<KMeans> KMeans::Deserialize(BinaryReader* reader) {
   if (tag != serialize_tags::kKMeans) {
     return Status::InvalidArgument("bad kmeans magic tag");
   }
+  KMeans km;
+  WMP_ASSIGN_OR_RETURN(km.centroids_, ReadCentroidMatrix(reader));
+  WMP_ASSIGN_OR_RETURN(km.inertia_, reader->ReadDouble());
+  return km;
+}
+
+Result<Matrix> ReadCentroidMatrix(BinaryReader* reader) {
   WMP_ASSIGN_OR_RETURN(uint64_t rows, reader->ReadU64());
   WMP_ASSIGN_OR_RETURN(uint64_t cols, reader->ReadU64());
   WMP_ASSIGN_OR_RETURN(std::vector<double> data, reader->ReadDoubleVec());
-  if (data.size() != rows * cols) {
-    return Status::InvalidArgument("kmeans stream corrupt");
+  if (rows == 0 || cols == 0 || data.size() % cols != 0 ||
+      data.size() / cols != rows) {
+    return Status::InvalidArgument("centroid matrix stream corrupt");
   }
-  KMeans km;
-  km.centroids_ = Matrix(rows, cols, std::move(data));
-  WMP_ASSIGN_OR_RETURN(km.inertia_, reader->ReadDouble());
-  return km;
+  return Matrix(rows, cols, std::move(data));
 }
 
 Result<std::vector<double>> KMeansElbowCurve(const Matrix& x,

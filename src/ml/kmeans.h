@@ -60,6 +60,12 @@ class KMeans {
   double inertia_ = 0.0;
 };
 
+/// Reads the centroid layout KMeans and the DBSCAN template model write:
+/// rows u64, cols u64, then the row-major values as a double vector. Empty
+/// shapes and a value count other than rows * cols are rejected without
+/// forming the (possibly overflowing) product.
+Result<Matrix> ReadCentroidMatrix(BinaryReader* reader);
+
 /// \brief Runs k-means for each k in `ks` and returns the inertias, the raw
 /// material of an elbow plot.
 Result<std::vector<double>> KMeansElbowCurve(const Matrix& x,

@@ -434,6 +434,9 @@ Result<std::unique_ptr<MlpRegressor>> MlpRegressor::Deserialize(
   WMP_ASSIGN_OR_RETURN(model->y_mean_, reader->ReadDouble());
   WMP_ASSIGN_OR_RETURN(model->y_std_, reader->ReadDouble());
   WMP_ASSIGN_OR_RETURN(uint64_t nlayers, reader->ReadU64());
+  if (nlayers > reader->remaining() / sizeof(uint64_t)) {
+    return Status::InvalidArgument("mlp layer count out of range");
+  }
   model->layer_dims_.resize(nlayers);
   opt.hidden_layers.clear();
   for (uint64_t i = 0; i < nlayers; ++i) {
@@ -447,7 +450,8 @@ Result<std::unique_ptr<MlpRegressor>> MlpRegressor::Deserialize(
     WMP_ASSIGN_OR_RETURN(std::vector<double> w, reader->ReadDoubleVec());
     WMP_ASSIGN_OR_RETURN(std::vector<double> b, reader->ReadDoubleVec());
     const size_t in = model->layer_dims_[l], out = model->layer_dims_[l + 1];
-    if (w.size() != in * out || b.size() != out) {
+    if (in == 0 || w.size() % in != 0 || w.size() / in != out ||
+        b.size() != out) {
       return Status::InvalidArgument("mlp stream corrupt");
     }
     model->weights_.emplace_back(in, out, std::move(w));

@@ -19,34 +19,6 @@ Status RandomForestRegressor::Fit(const Matrix& x,
   if (options_.num_trees < 1) {
     return Status::InvalidArgument("RF needs num_trees >= 1");
   }
-  if (options_.tree.growth == TreeGrowth::kReference) {
-    fit_timing_ = {};
-    Stopwatch sw;
-    FeatureBinner binner;
-    WMP_RETURN_IF_ERROR(binner.Fit(x, options_.tree.max_bins));
-    WMP_ASSIGN_OR_RETURN(std::vector<uint16_t> bins, binner.BinAll(x));
-    fit_timing_.bin_ms = sw.ElapsedMillis();
-
-    sw.Reset();
-    Rng rng(options_.seed);
-    const size_t n = x.rows();
-    const size_t sample_n = std::max<size_t>(
-        1, static_cast<size_t>(std::llround(options_.bootstrap_fraction *
-                                            static_cast<double>(n))));
-    trees_.assign(static_cast<size_t>(options_.num_trees), {});
-    std::vector<uint32_t> sample(sample_n);
-    for (auto& tree : trees_) {
-      for (auto& s : sample) {
-        s = static_cast<uint32_t>(
-            rng.UniformInt(0, static_cast<int64_t>(n) - 1));
-      }
-      WMP_RETURN_IF_ERROR(
-          tree.Fit(bins, x.cols(), binner, y, sample, options_.tree, &rng));
-    }
-    fit_timing_.grow_ms = sw.ElapsedMillis();
-    grower_stats_ = {};
-    return Status::OK();
-  }
   Stopwatch sw;
   WMP_ASSIGN_OR_RETURN(BinnedDataset data,
                        BinnedDataset::Build(x, options_.tree.max_bins));
@@ -59,8 +31,8 @@ Status RandomForestRegressor::Fit(const Matrix& x,
 Status RandomForestRegressor::FitWithSharedBins(const Matrix& x,
                                                 const std::vector<double>& y,
                                                 BinnedDatasetCache* cache) {
-  if (cache == nullptr || options_.tree.growth != TreeGrowth::kHistogram ||
-      x.rows() == 0 || x.cols() == 0 || y.size() != x.rows()) {
+  if (cache == nullptr || x.rows() == 0 || x.cols() == 0 ||
+      y.size() != x.rows()) {
     return Fit(x, y);
   }
   WMP_ASSIGN_OR_RETURN(const BinnedDataset* data,
@@ -78,10 +50,6 @@ Status RandomForestRegressor::FitFromBinned(const BinnedDataset& data,
   }
   if (options_.num_trees < 1) {
     return Status::InvalidArgument("RF needs num_trees >= 1");
-  }
-  if (options_.tree.growth == TreeGrowth::kReference) {
-    return Status::InvalidArgument(
-        "FitFromBinned requires histogram growth mode");
   }
   fit_timing_ = {};
   Stopwatch sw;
@@ -155,8 +123,15 @@ Result<std::unique_ptr<RandomForestRegressor>> RandomForestRegressor::Deserializ
   if (compiled.combine() != CompiledEnsemble::Combine::kAverage) {
     return Status::InvalidArgument("stream is not a random forest");
   }
-  auto model = std::make_unique<RandomForestRegressor>();
-  WMP_ASSIGN_OR_RETURN(model->trees_, compiled.Decompile());
+  WMP_ASSIGN_OR_RETURN(std::vector<RegressionTree> trees,
+                       compiled.Decompile());
+  return FromTrees(std::move(trees));
+}
+
+std::unique_ptr<RandomForestRegressor> RandomForestRegressor::FromTrees(
+    std::vector<RegressionTree> trees, RandomForestOptions options) {
+  auto model = std::make_unique<RandomForestRegressor>(options);
+  model->trees_ = std::move(trees);
   return model;
 }
 

@@ -41,13 +41,17 @@ class RandomForestRegressor : public Regressor {
   Status FitWithSharedBins(const Matrix& x, const std::vector<double>& y,
                            BinnedDatasetCache* cache) override;
 
-  /// Trains on an externally binned design (histogram engine only); one
-  /// grower — and so one histogram pool and one row buffer — is reused
-  /// across all trees of the forest.
+  /// Trains on an externally binned design; one grower — and so one
+  /// histogram pool and one row buffer — is reused across all trees of the
+  /// forest.
   Status FitFromBinned(const BinnedDataset& data, const std::vector<double>& y);
 
   static Result<std::unique_ptr<RandomForestRegressor>> Deserialize(
       BinaryReader* reader);
+
+  /// Wraps already built trees (Deserialize, and reference builders).
+  static std::unique_ptr<RandomForestRegressor> FromTrees(
+      std::vector<RegressionTree> trees, RandomForestOptions options = {});
 
   size_t num_trees() const { return trees_.size(); }
   const std::vector<RegressionTree>& trees() const { return trees_; }

@@ -83,7 +83,7 @@ class Regressor {
   virtual FitTiming fit_timing() const { return {}; }
 
   /// Fits like Fit(), but families that train on binned designs (the tree
-  /// family, in histogram-growth mode) route their binning through `cache`
+  /// family) route their binning through `cache`
   /// so several candidates trained on the same design matrix bin it once.
   /// The default — and any family without a binned trainer, or a null
   /// cache — is a plain Fit(x, y), which is also the exact arithmetic the

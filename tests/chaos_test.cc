@@ -57,39 +57,35 @@ class ChaosTest : public ::testing::Test {
     auto model = core::LearnedWmpModel::Train(dataset_->records, *indices_,
                                               *dataset_->generator, lopt);
     ASSERT_TRUE(model.ok()) << model.status().ToString();
-    model_ = new core::LearnedWmpModel(std::move(*model));
+    model_ = std::make_shared<const core::LearnedWmpModel>(
+        std::move(*model));
 
     core::LearnedWmpOptions lopt2 = lopt;
     lopt2.regressor = ml::RegressorKind::kRidge;
     auto model2 = core::LearnedWmpModel::Train(dataset_->records, *indices_,
                                                *dataset_->generator, lopt2);
     ASSERT_TRUE(model2.ok()) << model2.status().ToString();
-    model2_ = new core::LearnedWmpModel(std::move(*model2));
+    model2_ = std::make_shared<const core::LearnedWmpModel>(
+        std::move(*model2));
   }
   static void TearDownTestSuite() {
     delete dataset_;
     delete indices_;
-    delete model_;
-    delete model2_;
     dataset_ = nullptr;
     indices_ = nullptr;
     model_ = nullptr;
     model2_ = nullptr;
   }
 
-  static std::shared_ptr<const core::LearnedWmpModel> Borrow(
-      const core::LearnedWmpModel* model) {
-    return {std::shared_ptr<const void>(), model};
-  }
 
   static std::string SocketAddress(const char* tag) {
     return StrFormat("unix:/tmp/wmp_chaos_test.%d.%s.sock",
                      static_cast<int>(::getpid()), tag);
   }
 
-  static std::vector<double> Reference(const core::LearnedWmpModel* model,
-                                       const std::vector<core::WorkloadBatch>&
-                                           batches) {
+  static std::vector<double> Reference(
+      const std::shared_ptr<const core::LearnedWmpModel>& model,
+      const std::vector<core::WorkloadBatch>& batches) {
     engine::BatchScorer scorer(model);
     auto want = scorer.ScoreWorkloads(dataset_->records, batches);
     EXPECT_TRUE(want.ok());
@@ -109,14 +105,14 @@ class ChaosTest : public ::testing::Test {
 
   static workloads::Dataset* dataset_;
   static std::vector<uint32_t>* indices_;
-  static core::LearnedWmpModel* model_;
-  static core::LearnedWmpModel* model2_;
+  static std::shared_ptr<const core::LearnedWmpModel> model_;
+  static std::shared_ptr<const core::LearnedWmpModel> model2_;
 };
 
 workloads::Dataset* ChaosTest::dataset_ = nullptr;
 std::vector<uint32_t>* ChaosTest::indices_ = nullptr;
-core::LearnedWmpModel* ChaosTest::model_ = nullptr;
-core::LearnedWmpModel* ChaosTest::model2_ = nullptr;
+std::shared_ptr<const core::LearnedWmpModel> ChaosTest::model_;
+std::shared_ptr<const core::LearnedWmpModel> ChaosTest::model2_;
 
 // ---------- FaultInjector determinism ----------
 
@@ -232,7 +228,7 @@ TEST_F(ChaosTest, WireClientRetriesIdempotentCallsAcrossResets) {
 TEST_F(ChaosTest, PublishAppliesOnceAndNeverResendsAcrossALostResponse) {
   engine::ScoringService service({model_});
   engine::ModelRegistry registry;
-  ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
+  ASSERT_TRUE(registry.Record("default", model_).ok());
   net::ReactorServer server(&service, &registry, "default");
   const std::string address = SocketAddress("pubonce");
   ASSERT_TRUE(server.Listen(address).ok());
@@ -483,14 +479,15 @@ TEST_F(ChaosTest, CommitResponseLossTriggersCompensationBackToPriorEpoch) {
     engine::ScoringService service;
     engine::ModelRegistry registry;
     net::ReactorServer server;
-    TestNode(const core::LearnedWmpModel* model)
-        : service({model}), server(&service, &registry, "default") {}
+    explicit TestNode(std::shared_ptr<const core::LearnedWmpModel> model)
+        : service({std::move(model)}),
+          server(&service, &registry, "default") {}
   };
   std::vector<std::unique_ptr<TestNode>> fleet;
   std::vector<std::string> addresses;
   for (int i = 0; i < 3; ++i) {
     auto node = std::make_unique<TestNode>(model_);
-    ASSERT_TRUE(node->registry.Record("default", Borrow(model_)).ok());
+    ASSERT_TRUE(node->registry.Record("default", model_).ok());
     const std::string address =
         SocketAddress(StrFormat("commitloss%d", i).c_str());
     ASSERT_TRUE(node->server.Listen(address).ok());

@@ -238,17 +238,15 @@ TEST(CompiledEnsembleTest, TruncatedOrCorruptStreamsFailCleanly) {
 }
 
 TEST(CompiledEnsembleTest, RegressorCodecRoundTripsAndShrinks) {
-  // The tree regressors now serialize through the compiled codec: the
-  // stream must be substantially smaller than the legacy pointer codec and
-  // deserialize to a bitwise-identical predictor.
+  // The tree regressors serialize through the compiled codec: the stream
+  // must be smaller than 40 bytes per node (the retired pointer codec's
+  // five 8-byte fields) and deserialize to a bitwise-identical predictor.
   Fixture f = MakeFixture(400, 5, 307);
   {
     DecisionTreeRegressor model = TrainDt(f);
     BinaryWriter w;
     ASSERT_TRUE(model.Serialize(&w).ok());
-    auto ptr_bytes = PointerSerializedBytes(model);
-    ASSERT_TRUE(ptr_bytes.ok());
-    EXPECT_LT(w.size(), *ptr_bytes);
+    EXPECT_LT(w.size(), 40 * model.tree().nodes().size());
     BinaryReader r(w.buffer());
     auto back = DecisionTreeRegressor::Deserialize(&r);
     ASSERT_TRUE(back.ok()) << back.status().ToString();
@@ -262,9 +260,9 @@ TEST(CompiledEnsembleTest, RegressorCodecRoundTripsAndShrinks) {
     GbtRegressor model = TrainGbt(f);
     BinaryWriter w;
     ASSERT_TRUE(model.Serialize(&w).ok());
-    auto ptr_bytes = PointerSerializedBytes(model);
-    ASSERT_TRUE(ptr_bytes.ok());
-    EXPECT_LT(w.size(), *ptr_bytes);
+    size_t nodes = 0;
+    for (const RegressionTree& t : model.trees()) nodes += t.nodes().size();
+    EXPECT_LT(w.size(), 40 * nodes);
     BinaryReader r(w.buffer());
     auto back = GbtRegressor::Deserialize(&r);
     ASSERT_TRUE(back.ok()) << back.status().ToString();

@@ -48,30 +48,26 @@ class FleetTest : public ::testing::Test {
     auto model = core::LearnedWmpModel::Train(dataset_->records, *indices_,
                                               *dataset_->generator, lopt);
     ASSERT_TRUE(model.ok()) << model.status().ToString();
-    model_ = new core::LearnedWmpModel(std::move(*model));
+    model_ = std::make_shared<const core::LearnedWmpModel>(
+        std::move(*model));
 
     core::LearnedWmpOptions lopt2 = lopt;
     lopt2.regressor = ml::RegressorKind::kRidge;
     auto model2 = core::LearnedWmpModel::Train(dataset_->records, *indices_,
                                                *dataset_->generator, lopt2);
     ASSERT_TRUE(model2.ok()) << model2.status().ToString();
-    model2_ = new core::LearnedWmpModel(std::move(*model2));
+    model2_ = std::make_shared<const core::LearnedWmpModel>(
+        std::move(*model2));
   }
   static void TearDownTestSuite() {
     delete dataset_;
     delete indices_;
-    delete model_;
-    delete model2_;
     dataset_ = nullptr;
     indices_ = nullptr;
     model_ = nullptr;
     model2_ = nullptr;
   }
 
-  static std::shared_ptr<const core::LearnedWmpModel> Borrow(
-      const core::LearnedWmpModel* model) {
-    return {std::shared_ptr<const void>(), model};
-  }
 
   static std::string SocketAddress(const char* tag) {
     return StrFormat("unix:/tmp/wmp_fleet_test.%d.%s.sock",
@@ -79,9 +75,9 @@ class FleetTest : public ::testing::Test {
   }
 
   /// In-process reference predictions of `model` on the shared batch set.
-  static std::vector<double> Reference(const core::LearnedWmpModel* model,
-                                       const std::vector<core::WorkloadBatch>&
-                                           batches) {
+  static std::vector<double> Reference(
+      const std::shared_ptr<const core::LearnedWmpModel>& model,
+      const std::vector<core::WorkloadBatch>& batches) {
     engine::BatchScorer scorer(model);
     auto want = scorer.ScoreWorkloads(dataset_->records, batches);
     EXPECT_TRUE(want.ok());
@@ -96,8 +92,9 @@ class FleetTest : public ::testing::Test {
     net::ReactorServer server;
     std::string address;
 
-    TestNode(const core::LearnedWmpModel* model, std::string addr)
-        : service({model}),
+    TestNode(std::shared_ptr<const core::LearnedWmpModel> model,
+             std::string addr)
+        : service({std::move(model)}),
           server(&service, &registry, "default"),
           address(std::move(addr)) {}
     ~TestNode() { Down(); }
@@ -141,14 +138,14 @@ class FleetTest : public ::testing::Test {
 
   static workloads::Dataset* dataset_;
   static std::vector<uint32_t>* indices_;
-  static core::LearnedWmpModel* model_;
-  static core::LearnedWmpModel* model2_;
+  static std::shared_ptr<const core::LearnedWmpModel> model_;
+  static std::shared_ptr<const core::LearnedWmpModel> model2_;
 };
 
 workloads::Dataset* FleetTest::dataset_ = nullptr;
 std::vector<uint32_t>* FleetTest::indices_ = nullptr;
-core::LearnedWmpModel* FleetTest::model_ = nullptr;
-core::LearnedWmpModel* FleetTest::model2_ = nullptr;
+std::shared_ptr<const core::LearnedWmpModel> FleetTest::model_;
+std::shared_ptr<const core::LearnedWmpModel> FleetTest::model2_;
 
 // ---------- FleetEpochMap ----------
 
@@ -191,7 +188,7 @@ TEST(FleetEpochMapTest, ObservedVsTargetAndMixedDetection) {
 
 TEST_F(FleetTest, StageCommitAbortLifecycle) {
   TestNode node(model_, SocketAddress("twophase"));
-  ASSERT_TRUE(node.registry.Record("default", Borrow(model_)).ok());
+  ASSERT_TRUE(node.registry.Record("default", model_).ok());
   node.Up();
   const auto batches =
       engine::MakeConsecutiveBatches(dataset_->records.size(), 10);
@@ -263,7 +260,7 @@ TEST_F(FleetTest, RouterProbesFleetAndScoresBitwise) {
   for (int i = 0; i < 3; ++i) {
     auto node = std::make_unique<TestNode>(
         model_, SocketAddress(StrFormat("score%d", i).c_str()));
-    ASSERT_TRUE(node->registry.Record("default", Borrow(model_)).ok());
+    ASSERT_TRUE(node->registry.Record("default", model_).ok());
     node->Up();
     addresses.push_back(node->address);
     fleet.push_back(std::move(node));
@@ -307,7 +304,7 @@ TEST_F(FleetTest, RouterFailsOverOnNodeDeathThenProbeRevives) {
   for (int i = 0; i < 3; ++i) {
     auto node = std::make_unique<TestNode>(
         model_, SocketAddress(StrFormat("fail%d", i).c_str()));
-    ASSERT_TRUE(node->registry.Record("default", Borrow(model_)).ok());
+    ASSERT_TRUE(node->registry.Record("default", model_).ok());
     node->Up();
     addresses.push_back(node->address);
     fleet.push_back(std::move(node));
@@ -350,7 +347,7 @@ TEST_F(FleetTest, RouterFailsOverOnNodeDeathThenProbeRevives) {
   // Revive it (same address, fresh process-equivalent) — only a probe
   // takes a node out of down, and traffic then uses it again.
   fleet[1] = std::make_unique<TestNode>(model_, addresses[1]);
-  ASSERT_TRUE(fleet[1]->registry.Record("default", Borrow(model_)).ok());
+  ASSERT_TRUE(fleet[1]->registry.Record("default", model_).ok());
   fleet[1]->Up();
   router.ProbeNow();
   EXPECT_EQ(router.Nodes()[1].health, net::NodeHealth::kHealthy);
@@ -376,7 +373,7 @@ TEST_F(FleetTest, PublishAllTwoPhaseSwapsTheWholeFleetBitwise) {
   for (int i = 0; i < 3; ++i) {
     auto node = std::make_unique<TestNode>(
         model_, SocketAddress(StrFormat("pub%d", i).c_str()));
-    ASSERT_TRUE(node->registry.Record("default", Borrow(model_)).ok());
+    ASSERT_TRUE(node->registry.Record("default", model_).ok());
     node->Up();
     addresses.push_back(node->address);
     fleet.push_back(std::move(node));
@@ -424,7 +421,7 @@ TEST_F(FleetTest, PublishAllStageFailureLeavesEveryNodeOnPriorEpoch) {
   for (int i = 0; i < 3; ++i) {
     auto node = std::make_unique<TestNode>(
         model_, SocketAddress(StrFormat("pubfail%d", i).c_str()));
-    ASSERT_TRUE(node->registry.Record("default", Borrow(model_)).ok());
+    ASSERT_TRUE(node->registry.Record("default", model_).ok());
     node->Up();
     addresses.push_back(node->address);
     fleet.push_back(std::move(node));
@@ -471,8 +468,8 @@ TEST_F(FleetTest, RollbackAllRestoresThePreviousEpochFleetWide) {
     // Each node serves model2 at epoch 2 with model_ at epoch 1 beneath.
     auto node = std::make_unique<TestNode>(
         model2_, SocketAddress(StrFormat("rb%d", i).c_str()));
-    ASSERT_TRUE(node->registry.Record("default", Borrow(model_)).ok());
-    ASSERT_TRUE(node->registry.Record("default", Borrow(model2_)).ok());
+    ASSERT_TRUE(node->registry.Record("default", model_).ok());
+    ASSERT_TRUE(node->registry.Record("default", model2_).ok());
     node->Up();
     addresses.push_back(node->address);
     fleet.push_back(std::move(node));

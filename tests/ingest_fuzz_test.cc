@@ -1,22 +1,31 @@
-// Seeded mutation test of the query-log ingest path: a generated log is
+// Seeded mutation tests of the trust boundary. A generated query log is
 // corrupted with byte flips, truncations and line duplications, and every
 // result goes through ParseQueryLog, plan::ParseExplain and sql::Parse.
-// Each input must come back as a Status (or well-formed records) without
-// crashing; under ASan/UBSan this also catches out-of-bounds reads and
-// undefined conversions on hostile bytes. The seed and the iteration
-// budget are fixed, so a failure reproduces exactly.
+// The same mutator then corrupts trained DT/RF/GBT model artifacts (through
+// LearnedWmpModel::Deserialize, scoring whatever loads) and encoded wire
+// payloads (through their protocol decoders). Each input must come back as
+// a Status (or well-formed records) without crashing; under ASan/UBSan this
+// also catches out-of-bounds reads and undefined conversions on hostile
+// bytes. The seeds and the iteration budgets are fixed, so a failure
+// reproduces exactly.
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/learned_wmp.h"
+#include "core/workload.h"
+#include "net/frame.h"
+#include "net/protocol.h"
 #include "plan/explain.h"
 #include "plan/features.h"
 #include "plan/plan_parser.h"
 #include "sql/parser.h"
+#include "util/io.h"
 #include "util/random.h"
 #include "workloads/dataset.h"
 #include "workloads/log_io.h"
@@ -206,6 +215,135 @@ TEST(IngestFuzzTest, MutatedLogsReturnStatusWithoutCrashing) {
   EXPECT_GT(log_failed, 0u);
   EXPECT_GT(explain_ok, 0u);
   EXPECT_GT(sql_ok, 0u);
+}
+
+// ---------- decoders: model artifacts and wire payloads ----------
+
+constexpr uint64_t kDecoderSeed = 7;
+constexpr int kArtifactMutants = 4000;  // per tree family
+constexpr int kPayloadMutants = 3000;   // per payload kind
+
+TEST(DecoderFuzzTest, MutatedArtifactsAndPayloadsReturnStatus) {
+  DatasetOptions dopt;
+  dopt.num_queries = 240;
+  dopt.seed = 73;
+  auto data = BuildDataset(Benchmark::kTpcc, dopt);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  const std::vector<QueryRecord>& records = data->records;
+  const std::vector<uint32_t> all = core::AllIndices(records.size());
+  std::vector<core::WorkloadBatch> batches(3);
+  for (uint32_t i = 0; i < 30; ++i) batches[i / 10].query_indices.push_back(i);
+
+  Rng rng(kDecoderSeed);
+  for (ml::RegressorKind kind :
+       {ml::RegressorKind::kDecisionTree, ml::RegressorKind::kRandomForest,
+        ml::RegressorKind::kGbt}) {
+    core::LearnedWmpOptions lopt;
+    lopt.templates.num_templates = 6;
+    lopt.regressor = kind;
+    auto model =
+        core::LearnedWmpModel::Train(records, all, *data->generator, lopt);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    BinaryWriter w;
+    ASSERT_TRUE(model->Serialize(&w).ok());
+    size_t loaded = 0, rejected = 0;
+    for (int it = 0; it < kArtifactMutants; ++it) {
+      BinaryReader reader(Mutate(&rng, w.buffer()));
+      auto back = core::LearnedWmpModel::Deserialize(&reader);
+      if (!back.ok()) {
+        ++rejected;
+        ASSERT_FALSE(back.status().message().empty());
+        continue;
+      }
+      ++loaded;
+      // A loaded artifact is servable: scoring returns values or a Status.
+      (void)back->PredictWorkloads(records, batches);
+      (void)back->PredictWorkload(records, batches[0].query_indices);
+    }
+    EXPECT_GT(loaded, 0u) << ml::RegressorKindName(kind);
+    EXPECT_GT(rejected, 0u) << ml::RegressorKindName(kind);
+  }
+
+  // The wire's frame codec and request/response payloads, each paired with
+  // its decoder.
+  core::LearnedWmpOptions lopt;
+  lopt.templates.num_templates = 6;
+  lopt.regressor = ml::RegressorKind::kGbt;
+  auto model =
+      core::LearnedWmpModel::Train(records, all, *data->generator, lopt);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  BinaryWriter artifact;
+  ASSERT_TRUE(model->Serialize(&artifact).ok());
+
+  net::ScoreResponse response;
+  response.ok = {1, 0, 1};
+  response.predictions = {12.5, 0.0, 40.25};
+  response.errors = {"", "InvalidArgument: empty workload", ""};
+  net::PublishRequest publish;
+  publish.model_name = "default";
+  publish.model_bytes = artifact.buffer();
+  net::StatsResponse stats;
+  stats.service.submitted = 9;
+  stats.service.completed = 7;
+  stats.server.frames_served = 11;
+  const std::string score_request =
+      net::EncodeScoreRequest("tenant", records, batches);
+  const std::string score_frame =
+      net::EncodeFrame(net::FrameType::kScoreRequest, score_request);
+
+  struct PayloadKind {
+    const char* name;
+    std::string encoded;
+    std::function<Status(const std::string&)> decode;
+  };
+  const std::vector<PayloadKind> kinds = {
+      {"score-request", score_request,
+       [](const std::string& p) {
+         return net::DecodeScoreRequest(p).status();
+       }},
+      {"score-response", net::EncodeScoreResponse(response),
+       [](const std::string& p) {
+         return net::DecodeScoreResponse(p).status();
+       }},
+      {"publish", net::EncodePublishRequest(publish),
+       [](const std::string& p) {
+         auto decoded = net::DecodePublishRequest(p);
+         if (!decoded.ok()) return decoded.status();
+         BinaryReader reader(std::move(decoded->model_bytes));
+         return core::LearnedWmpModel::Deserialize(&reader).status();
+       }},
+      {"stats", net::EncodeStatsResponse(stats),
+       [](const std::string& p) {
+         return net::DecodeStatsResponse(p).status();
+       }},
+      {"frame", score_frame,
+       [](const std::string& p) {
+         size_t consumed = 0;
+         auto frame = net::DecodeFrame(p, net::FrameLimits{}, &consumed);
+         if (!frame.ok()) return frame.status();
+         EXPECT_LE(consumed, p.size());
+         return net::DecodeScoreRequest(frame->payload).status();
+       }},
+      {"pipelined", net::EncodePipelinedPayload(42, score_request),
+       [](const std::string& p) {
+         std::string body;
+         auto id = net::DecodePipelinedPayload(p, &body);
+         if (!id.ok()) return id.status();
+         return net::DecodeScoreRequest(body).status();
+       }},
+  };
+  for (const PayloadKind& kind : kinds) {
+    ASSERT_TRUE(kind.decode(kind.encoded).ok()) << kind.name;
+    size_t failed = 0;
+    for (int it = 0; it < kPayloadMutants; ++it) {
+      const Status st = kind.decode(Mutate(&rng, kind.encoded));
+      if (!st.ok()) {
+        ++failed;
+        ASSERT_FALSE(st.message().empty()) << kind.name;
+      }
+    }
+    EXPECT_GT(failed, 0u) << kind.name;
+  }
 }
 
 }  // namespace

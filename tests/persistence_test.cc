@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string_view>
 
 #include "core/featurizer.h"
 #include "core/learned_wmp.h"
@@ -50,6 +52,31 @@ class PersistenceTest : public ::testing::Test {
 
 workloads::Dataset* PersistenceTest::dataset_ = nullptr;
 std::vector<uint32_t>* PersistenceTest::indices_ = nullptr;
+
+// Offset of the first little-endian occurrence of `tag` in `bytes`.
+size_t FindTag(const std::string& bytes, uint32_t tag) {
+  char le[sizeof(tag)];
+  std::memcpy(le, &tag, sizeof(tag));
+  const size_t pos = bytes.find(std::string_view(le, sizeof(tag)));
+  EXPECT_NE(pos, std::string::npos);
+  return pos;
+}
+
+uint64_t GetU64(const std::string& bytes, size_t pos) {
+  uint64_t v;
+  std::memcpy(&v, bytes.data() + pos, sizeof(v));
+  return v;
+}
+
+void PutU64(std::string* bytes, size_t pos, uint64_t v) {
+  std::memcpy(bytes->data() + pos, &v, sizeof(v));
+}
+
+// Template-model stream after its "WMPT" tag: method u8, k i64, log u8,
+// then the method body.
+constexpr uint32_t kTemplateTag = 0x574D5054;
+constexpr size_t kTemplateKOffset = 4 + 1;
+constexpr size_t kTemplateBodyOffset = 4 + 1 + 8 + 1;
 
 // ---------- TemplateModel persistence ----------
 
@@ -166,6 +193,74 @@ TEST_F(PersistenceTest, CorruptStreamRejected) {
   BinaryReader r(bad);
   EXPECT_TRUE(
       LearnedWmpModel::Deserialize(&r).status().IsInvalidArgument());
+
+  // Counts the sender controls must be checked against the bytes that are
+  // actually there, without products that wrap.
+  const auto rejected = [](const std::string& bytes) {
+    BinaryReader reader(bytes);
+    return !LearnedWmpModel::Deserialize(&reader).ok();
+  };
+  const std::string& good = w.buffer();
+  const size_t tmpl = FindTag(good, kTemplateTag);
+  const size_t km = FindTag(good, ml::serialize_tags::kKMeans);
+  ASSERT_GT(km, tmpl);
+  const size_t rows_at = km + 4, cols_at = km + 12, count_at = km + 20;
+  const uint64_t rows = GetU64(good, rows_at);
+  const uint64_t cols = GetU64(good, cols_at);
+  ASSERT_EQ(static_cast<int64_t>(GetU64(good, tmpl + kTemplateKOffset)),
+            static_cast<int64_t>(rows));
+  ASSERT_EQ(cols % 2, 0u);
+  {
+    // Centroid value count with bit 61 set: count * 8 wraps to a small
+    // number, so a multiplied bound check passes.
+    std::string bytes = good;
+    PutU64(&bytes, count_at, GetU64(good, count_at) | (uint64_t{1} << 61));
+    EXPECT_TRUE(rejected(bytes));
+  }
+  {
+    // rows + 2^63 over an even column count: rows * cols still equals the
+    // value count modulo 2^64.
+    std::string bytes = good;
+    PutU64(&bytes, rows_at, rows + (uint64_t{1} << 63));
+    EXPECT_TRUE(rejected(bytes));
+  }
+  for (uint64_t k : {rows + 1, rows - 1, uint64_t{1} << 40}) {
+    // k must be the centroid count the stream carries.
+    std::string bytes = good;
+    PutU64(&bytes, tmpl + kTemplateKOffset, k);
+    EXPECT_TRUE(rejected(bytes)) << "k=" << k;
+  }
+
+  LearnedWmpModel rules =
+      TrainSmall(ml::RegressorKind::kRidge, TemplateMethod::kRuleBased);
+  BinaryWriter rw;
+  ASSERT_TRUE(rules.Serialize(&rw).ok());
+  const std::string& good_rules = rw.buffer();
+  const size_t rtmpl = FindTag(good_rules, kTemplateTag);
+  const size_t nrules_at = rtmpl + kTemplateBodyOffset;
+  const uint64_t nrules = GetU64(good_rules, nrules_at);
+  ASSERT_GT(nrules, 0u);
+  {
+    std::string bytes = good_rules;
+    PutU64(&bytes, nrules_at, uint64_t{1} << 60);
+    EXPECT_TRUE(rejected(bytes));
+  }
+  {
+    // The first rule's table count: after its u32-length-prefixed name.
+    uint32_t name_len;
+    std::memcpy(&name_len, good_rules.data() + nrules_at + 8,
+                sizeof(name_len));
+    std::string bytes = good_rules;
+    PutU64(&bytes, nrules_at + 8 + 4 + name_len, uint64_t{1} << 60);
+    EXPECT_TRUE(rejected(bytes));
+  }
+  {
+    // Rule-based k is the rule count plus the fallback template.
+    std::string bytes = good_rules;
+    ASSERT_EQ(GetU64(good_rules, rtmpl + kTemplateKOffset), nrules + 1);
+    PutU64(&bytes, rtmpl + kTemplateKOffset, nrules + 2);
+    EXPECT_TRUE(rejected(bytes));
+  }
 }
 
 TEST_F(PersistenceTest, UntrainedModelRefusesSerialize) {

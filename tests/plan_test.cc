@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "plan/cardinality.h"
@@ -10,6 +11,7 @@
 #include "plan/features.h"
 #include "plan/plan_parser.h"
 #include "plan/planner.h"
+#include "reference/reference_harmonic.h"
 #include "sql/parser.h"
 #include "test_schema.h"
 
@@ -51,19 +53,17 @@ TEST(ZipfMathTest, HarmonicMatchesExactSmallN) {
 }
 
 TEST(ZipfMathTest, PrefixTablePathBitwiseEqualsDirectSummation) {
-  // The per-theta prefix-table fast path must return the exact bit
-  // pattern of the reference summation for every (n, theta), including
-  // fractional n, the exact-summation boundary, and the integral tail.
-  ASSERT_TRUE(HarmonicTableCache());  // fast path is the default
+  // The per-theta prefix tables must return the exact bit pattern of the
+  // direct summation for every (n, theta), including fractional n, the
+  // exact-summation boundary, and the integral tail.
   for (double theta : {0.2, 0.5, 1.0, 1.3, 2.6}) {
     for (double n :
          {1.0, 1.5, 7.0, 7.9, 100.25, 2047.0, 2048.0, 2048.5, 1e6}) {
-      SetHarmonicTableCache(true);
-      const double fast = HarmonicApprox(n, theta);
-      SetHarmonicTableCache(false);
-      const double reference = HarmonicApprox(n, theta);
-      SetHarmonicTableCache(true);
-      EXPECT_EQ(fast, reference) << "n=" << n << " theta=" << theta;
+      const double table = HarmonicApprox(n, theta);
+      const double direct = reference::HarmonicUncached(n, theta);
+      EXPECT_EQ(std::memcmp(&table, &direct, sizeof(double)), 0)
+          << "n=" << n << " theta=" << theta << ": " << table << " vs "
+          << direct;
     }
   }
 }

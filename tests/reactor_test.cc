@@ -52,30 +52,26 @@ class ReactorTest : public ::testing::Test {
     auto model = core::LearnedWmpModel::Train(dataset_->records, *indices_,
                                               *dataset_->generator, lopt);
     ASSERT_TRUE(model.ok()) << model.status().ToString();
-    model_ = new core::LearnedWmpModel(std::move(*model));
+    model_ = std::make_shared<const core::LearnedWmpModel>(
+        std::move(*model));
 
     core::LearnedWmpOptions lopt2 = lopt;
     lopt2.regressor = ml::RegressorKind::kRidge;
     auto model2 = core::LearnedWmpModel::Train(dataset_->records, *indices_,
                                                *dataset_->generator, lopt2);
     ASSERT_TRUE(model2.ok()) << model2.status().ToString();
-    model2_ = new core::LearnedWmpModel(std::move(*model2));
+    model2_ = std::make_shared<const core::LearnedWmpModel>(
+        std::move(*model2));
   }
   static void TearDownTestSuite() {
     delete dataset_;
     delete indices_;
-    delete model_;
-    delete model2_;
     dataset_ = nullptr;
     indices_ = nullptr;
     model_ = nullptr;
     model2_ = nullptr;
   }
 
-  static std::shared_ptr<const core::LearnedWmpModel> Borrow(
-      const core::LearnedWmpModel* model) {
-    return {std::shared_ptr<const void>(), model};
-  }
 
   static std::string SocketAddress(const char* tag) {
     return StrFormat("unix:/tmp/wmp_reactor_test.%d.%s.sock",
@@ -83,9 +79,9 @@ class ReactorTest : public ::testing::Test {
   }
 
   /// In-process reference predictions of `model` on the shared batch set.
-  static std::vector<double> Reference(const core::LearnedWmpModel* model,
-                                       const std::vector<core::WorkloadBatch>&
-                                           batches) {
+  static std::vector<double> Reference(
+      const std::shared_ptr<const core::LearnedWmpModel>& model,
+      const std::vector<core::WorkloadBatch>& batches) {
     engine::BatchScorer scorer(model);
     auto want = scorer.ScoreWorkloads(dataset_->records, batches);
     EXPECT_TRUE(want.ok());
@@ -94,14 +90,14 @@ class ReactorTest : public ::testing::Test {
 
   static workloads::Dataset* dataset_;
   static std::vector<uint32_t>* indices_;
-  static core::LearnedWmpModel* model_;
-  static core::LearnedWmpModel* model2_;
+  static std::shared_ptr<const core::LearnedWmpModel> model_;
+  static std::shared_ptr<const core::LearnedWmpModel> model2_;
 };
 
 workloads::Dataset* ReactorTest::dataset_ = nullptr;
 std::vector<uint32_t>* ReactorTest::indices_ = nullptr;
-core::LearnedWmpModel* ReactorTest::model_ = nullptr;
-core::LearnedWmpModel* ReactorTest::model2_ = nullptr;
+std::shared_ptr<const core::LearnedWmpModel> ReactorTest::model_;
+std::shared_ptr<const core::LearnedWmpModel> ReactorTest::model2_;
 
 // ---------- Basic equivalence: blocking client against the reactor ----------
 
@@ -472,7 +468,7 @@ TEST_F(ReactorTest, PipelinedErrorIndictsOneRequestNotTheStream) {
 TEST_F(ReactorTest, PublishAndRollbackUnderTrafficStayBitwise) {
   engine::ScoringService service({model_});
   engine::ModelRegistry registry;
-  ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
+  ASSERT_TRUE(registry.Record("default", model_).ok());
   net::ReactorServer server(&service, &registry, "default");
   const std::string address = SocketAddress("rollout");
   ASSERT_TRUE(server.Listen(address).ok());
@@ -522,7 +518,7 @@ TEST_F(ReactorTest, PublishAndRollbackUnderTrafficStayBitwise) {
 TEST_F(ReactorTest, CorruptChecksumPublishRejectedBeforeAnyEpoch) {
   engine::ScoringService service({model_});
   engine::ModelRegistry registry;
-  ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
+  ASSERT_TRUE(registry.Record("default", model_).ok());
   net::ReactorServer server(&service, &registry, "default");
   const std::string address = SocketAddress("cksum");
   ASSERT_TRUE(server.Listen(address).ok());

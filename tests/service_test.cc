@@ -49,20 +49,20 @@ class ServiceTest : public ::testing::Test {
     auto model = core::LearnedWmpModel::Train(dataset_->records, *indices_,
                                               *dataset_->generator, lopt);
     ASSERT_TRUE(model.ok()) << model.status().ToString();
-    model_ = new core::LearnedWmpModel(std::move(*model));
+    model_ = std::make_shared<const core::LearnedWmpModel>(
+        std::move(*model));
 
     core::LearnedWmpOptions lopt2 = lopt;
     lopt2.regressor = ml::RegressorKind::kRidge;
     auto model2 = core::LearnedWmpModel::Train(dataset_->records, *indices_,
                                                *dataset_->generator, lopt2);
     ASSERT_TRUE(model2.ok()) << model2.status().ToString();
-    model2_ = new core::LearnedWmpModel(std::move(*model2));
+    model2_ = std::make_shared<const core::LearnedWmpModel>(
+        std::move(*model2));
   }
   static void TearDownTestSuite() {
     delete dataset_;
     delete indices_;
-    delete model_;
-    delete model2_;
     dataset_ = nullptr;
     indices_ = nullptr;
     model_ = nullptr;
@@ -79,21 +79,17 @@ class ServiceTest : public ::testing::Test {
 
   /// Non-owning shared_ptr over a suite-lifetime model — the borrow form
   /// PublishModel takes in tests.
-  static std::shared_ptr<const core::LearnedWmpModel> Borrow(
-      const core::LearnedWmpModel* model) {
-    return {std::shared_ptr<const void>(), model};
-  }
 
   static workloads::Dataset* dataset_;
   static std::vector<uint32_t>* indices_;
-  static core::LearnedWmpModel* model_;
-  static core::LearnedWmpModel* model2_;
+  static std::shared_ptr<const core::LearnedWmpModel> model_;
+  static std::shared_ptr<const core::LearnedWmpModel> model2_;
 };
 
 workloads::Dataset* ServiceTest::dataset_ = nullptr;
 std::vector<uint32_t>* ServiceTest::indices_ = nullptr;
-core::LearnedWmpModel* ServiceTest::model_ = nullptr;
-core::LearnedWmpModel* ServiceTest::model2_ = nullptr;
+std::shared_ptr<const core::LearnedWmpModel> ServiceTest::model_;
+std::shared_ptr<const core::LearnedWmpModel> ServiceTest::model2_;
 
 TEST_F(ServiceTest, WorkloadFingerprintIsOrderInvariantAndContentSensitive) {
   const std::vector<uint32_t> a = {0, 1, 2, 3};
@@ -430,7 +426,9 @@ TEST_F(ServiceTest, EmptyWorkloadFailsAloneUnderVariableLengthModel) {
   engine::ScoringServiceOptions opt;
   opt.max_delay_us = 5000;  // wide window so all three share a flush
   opt.adaptive_flush = false;  // keep the window; adaptive would flush early
-  engine::ScoringService service({&*model}, opt);
+  auto shared = std::make_shared<const core::LearnedWmpModel>(
+      std::move(*model));
+  engine::ScoringService service({shared}, opt);
   auto good1 = service.Submit("t", dataset_->records, Workload(0, 10));
   auto empty = service.Submit("t", dataset_->records, {});
   auto good2 = service.Submit("t", dataset_->records, Workload(50, 25));
@@ -441,8 +439,8 @@ TEST_F(ServiceTest, EmptyWorkloadFailsAloneUnderVariableLengthModel) {
   ASSERT_TRUE(g1.ok()) << g1.status().ToString();
   EXPECT_TRUE(e.status().IsInvalidArgument()) << e.status().ToString();
   ASSERT_TRUE(g2.ok()) << g2.status().ToString();
-  auto want1 = model->PredictWorkload(dataset_->records, Workload(0, 10));
-  auto want2 = model->PredictWorkload(dataset_->records, Workload(50, 25));
+  auto want1 = shared->PredictWorkload(dataset_->records, Workload(0, 10));
+  auto want2 = shared->PredictWorkload(dataset_->records, Workload(50, 25));
   ASSERT_TRUE(want1.ok());
   ASSERT_TRUE(want2.ok());
   EXPECT_NEAR(*g1, *want1, 1e-9);
@@ -456,8 +454,8 @@ TEST_F(ServiceTest, EmptyWorkloadFailsAloneUnderVariableLengthModel) {
 // ScoreWorkloads call errors) resolve every future with the error instead
 // of abandoning promises or crashing the dispatcher.
 TEST_F(ServiceTest, ScoringFailureResolvesEveryFutureWithError) {
-  const core::LearnedWmpModel untrained;
-  engine::ScoringService service({&untrained});
+  engine::ScoringService service(
+      {std::make_shared<const core::LearnedWmpModel>()});
   std::vector<std::future<Result<double>>> futures;
   for (int i = 0; i < 10; ++i) {
     futures.push_back(
@@ -478,7 +476,7 @@ TEST_F(ServiceTest, StopDrainsAcceptedWorkAndRejectsNewWork) {
   opt.max_delay_us = 20000;  // requests sit in the queue when Stop arrives
   opt.adaptive_flush = false;  // adaptive would score them before Stop
   auto service = std::make_unique<engine::ScoringService>(
-      std::vector<const core::LearnedWmpModel*>{model_}, opt);
+      std::vector<std::shared_ptr<const core::LearnedWmpModel>>{model_}, opt);
   std::vector<std::future<Result<double>>> futures;
   for (int i = 0; i < 30; ++i) {
     futures.push_back(
@@ -716,7 +714,7 @@ TEST_F(ServiceTest, PublishModelServesNewModelBitwiseAndInvalidatesCaches) {
   const auto pre = service.stats();
   EXPECT_EQ(pre.cache_hits, batches.size());  // pass 2 hit level 1
 
-  ASSERT_TRUE(service.PublishModel(0, Borrow(model2_)).ok());
+  ASSERT_TRUE(service.PublishModel(0, model2_).ok());
   EXPECT_EQ(service.stats().models_published, 1u);
 
   // The reference for "what the new model says", through the same batched
@@ -737,7 +735,7 @@ TEST_F(ServiceTest, PublishModelServesNewModelBitwiseAndInvalidatesCaches) {
   EXPECT_GT(post.template_cache_misses, pre.template_cache_misses);
 
   // Out-of-range shard and null model are rejected, not crashed.
-  EXPECT_TRUE(service.PublishModel(99, Borrow(model2_)).IsInvalidArgument());
+  EXPECT_TRUE(service.PublishModel(99, model2_).IsInvalidArgument());
   EXPECT_TRUE(service.PublishModel(0, nullptr).IsInvalidArgument());
   service.Stop();
 }
@@ -786,10 +784,8 @@ TEST_F(ServiceTest, PublishModelUnderLiveTrafficLosesNothing) {
     auto owned = core::LearnedWmpModel::Train(dataset_->records, *indices_,
                                               *dataset_->generator, lopt);
     for (int flip = 0; flip < 10; ++flip) {
-      ASSERT_TRUE(service
-                      .PublishModel(0, flip % 2 == 0 ? Borrow(model2_)
-                                                     : Borrow(model_))
-                      .ok());
+      ASSERT_TRUE(
+          service.PublishModel(0, flip % 2 == 0 ? model2_ : model_).ok());
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
     if (owned.ok()) {
@@ -799,7 +795,7 @@ TEST_F(ServiceTest, PublishModelUnderLiveTrafficLosesNothing) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
     // Converge on model2 for the post-traffic check.
-    ASSERT_TRUE(service.PublishModel(0, Borrow(model2_)).ok());
+    ASSERT_TRUE(service.PublishModel(0, model2_).ok());
   });
   for (auto& t : clients) t.join();
   publisher.join();

@@ -1,7 +1,8 @@
 // Equivalence suite for the histogram training engine: the production path
 // (feature-major bins, single-pass builds, sibling subtraction, pooled
-// buffers, GBT leaf-scatter updates) must reproduce the retained reference
-// (direct-build) engine within 1e-9 on predictions — DT and RF exactly,
+// buffers, GBT leaf-scatter updates) must reproduce the direct builders of
+// the test-only reference library (tests/reference/) within 1e-9 on
+// predictions — DT and RF exactly,
 // GBT up to histogram-subtraction noise — so a subtraction bug can never
 // silently change models. Also pins the allocation-free-growth contract:
 // histogram buffers allocated during an ensemble fit are bounded by tree
@@ -16,6 +17,7 @@
 #include "ml/dtree.h"
 #include "ml/gbt.h"
 #include "ml/random_forest.h"
+#include "reference/reference_trees.h"
 #include "util/random.h"
 
 namespace wmp::ml {
@@ -51,16 +53,15 @@ TEST(TrainEquivalenceTest, DecisionTreeMatchesReferenceBitwise) {
   DecisionTreeOptions opt;
   opt.tree.max_depth = 10;
   DecisionTreeRegressor hist(opt);
-  opt.tree.growth = TreeGrowth::kReference;
-  DecisionTreeRegressor ref(opt);
   ASSERT_TRUE(hist.Fit(x, y).ok());
-  ASSERT_TRUE(ref.Fit(x, y).ok());
+  auto ref = reference::FitDecisionTree(x, y, opt);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
   // All features examined per split -> subtraction engine; structure and
   // leaf means (computed from row scans, not histograms) match exactly on
   // tie-free data.
-  ASSERT_EQ(hist.tree().nodes().size(), ref.tree().nodes().size());
+  ASSERT_EQ(hist.tree().nodes().size(), (*ref)->tree().nodes().size());
   auto ph = hist.Predict(x).value();
-  auto pr = ref.Predict(x).value();
+  auto pr = (*ref)->Predict(x).value();
   EXPECT_LE(MaxRelDiff(pr, ph), 1e-9);
 }
 
@@ -72,12 +73,11 @@ TEST(TrainEquivalenceTest, RandomForestMatchesReferenceBitwise) {
   opt.num_trees = 15;
   opt.seed = 9;  // feature_fraction 0.6 -> per-node sampling, direct builds
   RandomForestRegressor hist(opt);
-  opt.tree.growth = TreeGrowth::kReference;
-  RandomForestRegressor ref(opt);
   ASSERT_TRUE(hist.Fit(x, y).ok());
-  ASSERT_TRUE(ref.Fit(x, y).ok());
+  auto ref = reference::FitRandomForest(x, y, opt);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
   auto ph = hist.Predict(x).value();
-  auto pr = ref.Predict(x).value();
+  auto pr = (*ref)->Predict(x).value();
   // Sampled mode accumulates in the reference's exact order and consumes
   // the RNG identically, so the forests are bitwise equal.
   for (size_t i = 0; i < pr.size(); ++i) EXPECT_EQ(pr[i], ph[i]);
@@ -90,14 +90,13 @@ TEST(TrainEquivalenceTest, GbtMatchesReferenceWithinTolerance) {
   GbtOptions opt;
   opt.num_rounds = 60;
   GbtRegressor hist(opt);
-  opt.growth = TreeGrowth::kReference;
-  GbtRegressor ref(opt);
   ASSERT_TRUE(hist.Fit(x, y).ok());
-  ASSERT_TRUE(ref.Fit(x, y).ok());
-  EXPECT_EQ(hist.num_trees(), ref.num_trees());
-  EXPECT_DOUBLE_EQ(hist.base_score(), ref.base_score());
+  auto ref = reference::FitGbt(x, y, opt);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  EXPECT_EQ(hist.num_trees(), (*ref)->num_trees());
+  EXPECT_DOUBLE_EQ(hist.base_score(), (*ref)->base_score());
   auto ph = hist.Predict(x).value();
-  auto pr = ref.Predict(x).value();
+  auto pr = (*ref)->Predict(x).value();
   EXPECT_LE(MaxRelDiff(pr, ph), 1e-9);
 }
 
@@ -114,12 +113,11 @@ TEST(TrainEquivalenceTest, GbtSubsampleExercisesBinSpaceTraversal) {
   opt.colsample = 0.7;
   opt.seed = 21;
   GbtRegressor hist(opt);
-  opt.growth = TreeGrowth::kReference;
-  GbtRegressor ref(opt);
   ASSERT_TRUE(hist.Fit(x, y).ok());
-  ASSERT_TRUE(ref.Fit(x, y).ok());
+  auto ref = reference::FitGbt(x, y, opt);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
   auto ph = hist.Predict(x).value();
-  auto pr = ref.Predict(x).value();
+  auto pr = (*ref)->Predict(x).value();
   EXPECT_LE(MaxRelDiff(pr, ph), 1e-9);
 }
 
@@ -167,18 +165,6 @@ TEST(TrainEquivalenceTest, SharedBinCacheBinsOnceAcrossFamilies) {
   auto pa = dt_alone.Predict(x).value();
   auto pc = dt.Predict(x).value();
   for (size_t i = 0; i < pa.size(); ++i) EXPECT_EQ(pa[i], pc[i]);
-}
-
-TEST(TrainEquivalenceTest, ReferenceGrowthRejectsFitFromBinned) {
-  Matrix x;
-  std::vector<double> y;
-  MakeData(200, 131, &x, &y);
-  auto data = BinnedDataset::Build(x, 64);
-  ASSERT_TRUE(data.ok());
-  DecisionTreeOptions opt;
-  opt.tree.growth = TreeGrowth::kReference;
-  DecisionTreeRegressor dt(opt);
-  EXPECT_TRUE(dt.FitFromBinned(*data, y).IsInvalidArgument());
 }
 
 // The allocation-free-growth contract: one ensemble fit allocates histogram

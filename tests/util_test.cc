@@ -257,6 +257,29 @@ TEST(BinaryIoTest, TruncatedVectorErrors) {
   w.WriteU64(1000);  // claims 1000 doubles, provides none
   BinaryReader r(w.buffer());
   EXPECT_TRUE(r.ReadDoubleVec().status().IsOutOfRange());
+
+  // Counts whose byte size wraps 2^64 to exactly the bytes present.
+  {
+    BinaryWriter wrap;
+    wrap.WriteU64((uint64_t{1} << 61) + 1);  // * 8 wraps to 8
+    wrap.WriteDouble(1.0);
+    BinaryReader rr(wrap.buffer());
+    EXPECT_TRUE(rr.ReadDoubleVec().status().IsOutOfRange());
+  }
+  {
+    BinaryWriter wrap;
+    wrap.WriteU64((uint64_t{1} << 62) + 1);  // * 4 wraps to 4
+    wrap.WriteU32(7);
+    BinaryReader rr(wrap.buffer());
+    EXPECT_TRUE(rr.ReadIntVec().status().IsOutOfRange());
+  }
+  {
+    BinaryWriter huge;
+    huge.WriteU64(~uint64_t{0});
+    huge.WriteDouble(1.0);
+    BinaryReader rr(huge.buffer());
+    EXPECT_TRUE(rr.ReadDoubleVec().status().IsOutOfRange());
+  }
 }
 
 TEST(BinaryIoTest, PeekDoesNotConsume) {

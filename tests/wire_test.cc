@@ -49,30 +49,26 @@ class WireTest : public ::testing::Test {
     auto model = core::LearnedWmpModel::Train(dataset_->records, *indices_,
                                               *dataset_->generator, lopt);
     ASSERT_TRUE(model.ok()) << model.status().ToString();
-    model_ = new core::LearnedWmpModel(std::move(*model));
+    model_ = std::make_shared<const core::LearnedWmpModel>(
+        std::move(*model));
 
     core::LearnedWmpOptions lopt2 = lopt;
     lopt2.regressor = ml::RegressorKind::kRidge;
     auto model2 = core::LearnedWmpModel::Train(dataset_->records, *indices_,
                                                *dataset_->generator, lopt2);
     ASSERT_TRUE(model2.ok()) << model2.status().ToString();
-    model2_ = new core::LearnedWmpModel(std::move(*model2));
+    model2_ = std::make_shared<const core::LearnedWmpModel>(
+        std::move(*model2));
   }
   static void TearDownTestSuite() {
     delete dataset_;
     delete indices_;
-    delete model_;
-    delete model2_;
     dataset_ = nullptr;
     indices_ = nullptr;
     model_ = nullptr;
     model2_ = nullptr;
   }
 
-  static std::shared_ptr<const core::LearnedWmpModel> Borrow(
-      const core::LearnedWmpModel* model) {
-    return {std::shared_ptr<const void>(), model};
-  }
 
   static std::string SocketAddress(const char* tag) {
     return StrFormat("unix:/tmp/wmp_wire_test.%d.%s.sock",
@@ -81,14 +77,14 @@ class WireTest : public ::testing::Test {
 
   static workloads::Dataset* dataset_;
   static std::vector<uint32_t>* indices_;
-  static core::LearnedWmpModel* model_;
-  static core::LearnedWmpModel* model2_;
+  static std::shared_ptr<const core::LearnedWmpModel> model_;
+  static std::shared_ptr<const core::LearnedWmpModel> model2_;
 };
 
 workloads::Dataset* WireTest::dataset_ = nullptr;
 std::vector<uint32_t>* WireTest::indices_ = nullptr;
-core::LearnedWmpModel* WireTest::model_ = nullptr;
-core::LearnedWmpModel* WireTest::model2_ = nullptr;
+std::shared_ptr<const core::LearnedWmpModel> WireTest::model_;
+std::shared_ptr<const core::LearnedWmpModel> WireTest::model2_;
 
 // ---------- ModelRegistry ----------
 
@@ -97,33 +93,33 @@ TEST_F(WireTest, RegistryRecordRollbackAndKeepLast) {
   EXPECT_FALSE(registry.Current("m").ok());
   EXPECT_FALSE(registry.Rollback("m").ok());
   EXPECT_FALSE(registry.Record("m", nullptr).ok());
-  EXPECT_FALSE(registry.Record("", Borrow(model_)).ok());
+  EXPECT_FALSE(registry.Record("", model_).ok());
 
-  auto e1 = registry.Record("m", Borrow(model_));
-  auto e2 = registry.Record("m", Borrow(model2_));
+  auto e1 = registry.Record("m", model_);
+  auto e2 = registry.Record("m", model2_);
   ASSERT_TRUE(e1.ok());
   ASSERT_TRUE(e2.ok());
   EXPECT_LT(*e1, *e2);
   EXPECT_EQ(registry.NumEpochs("m"), 2u);
   ASSERT_TRUE(registry.Current("m").ok());
-  EXPECT_EQ(registry.Current("m")->model.get(), model2_);
+  EXPECT_EQ(registry.Current("m")->model.get(), model2_.get());
 
   auto back = registry.Rollback("m");
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->epoch, *e1);
-  EXPECT_EQ(back->model.get(), model_);
-  EXPECT_EQ(registry.Current("m")->model.get(), model_);
+  EXPECT_EQ(back->model.get(), model_.get());
+  EXPECT_EQ(registry.Current("m")->model.get(), model_.get());
   // Only one epoch left now.
   EXPECT_FALSE(registry.Rollback("m").ok());
 
   // keep_last trims the oldest epochs.
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(registry.Record("m", Borrow(model2_)).ok());
+    ASSERT_TRUE(registry.Record("m", model2_).ok());
   }
   EXPECT_EQ(registry.NumEpochs("m"), 3u);
 
   // Names are independent histories.
-  ASSERT_TRUE(registry.Record("other", Borrow(model_)).ok());
+  ASSERT_TRUE(registry.Record("other", model_).ok());
   EXPECT_EQ(registry.NumEpochs("other"), 1u);
   EXPECT_EQ(registry.Names().size(), 2u);
 }
@@ -139,10 +135,10 @@ TEST_F(WireTest, PublishAllSwapsEveryShardBitwiseAndRecords) {
   ASSERT_TRUE(want.ok());
 
   engine::ModelRegistry registry;
-  auto epoch = service.PublishAll(Borrow(model2_), &registry, "tenant");
+  auto epoch = service.PublishAll(model2_, &registry, "tenant");
   ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
   EXPECT_GT(*epoch, 0u);
-  EXPECT_EQ(registry.Current("tenant")->model.get(), model2_);
+  EXPECT_EQ(registry.Current("tenant")->model.get(), model2_.get());
 
   // EVERY shard must now serve model2, bitwise.
   for (size_t shard = 0; shard < service.num_shards(); ++shard) {
@@ -167,14 +163,14 @@ TEST_F(WireTest, PublishAllRejectsBadArtifactsUntouched) {
   EXPECT_TRUE(
       service.PublishAll(untrained).status().IsFailedPrecondition());
   engine::ModelRegistry registry;
-  EXPECT_TRUE(service.PublishAll(Borrow(model2_), &registry, "")
+  EXPECT_TRUE(service.PublishAll(model2_, &registry, "")
                   .status()
                   .IsInvalidArgument());
   // Nothing was swapped or recorded by the failures.
   EXPECT_EQ(service.stats().models_published, 0u);
   EXPECT_TRUE(registry.Names().empty());
   for (size_t shard = 0; shard < service.num_shards(); ++shard) {
-    EXPECT_EQ(service.model(shard).get(), model_);
+    EXPECT_EQ(service.model(shard).get(), model_.get());
   }
   service.Stop();
 }
@@ -203,7 +199,7 @@ TEST_F(WireTest, PublishWarmsTemplateCacheAndKeepsPredictionsBitwise) {
   }
 
   // Swap; the warmer re-assigns the resident keys under the new epoch.
-  ASSERT_TRUE(service.PublishAll(Borrow(model2_)).ok());
+  ASSERT_TRUE(service.PublishAll(model2_).ok());
   for (int spin = 0; spin < 500; ++spin) {
     if (service.stats().template_entries_warmed >= distinct.size()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -240,7 +236,7 @@ TEST_F(WireTest, WarmingIsSkippedWithoutACorpus) {
                     .get()
                     .ok());
   }
-  ASSERT_TRUE(service.PublishAll(Borrow(model2_)).ok());
+  ASSERT_TRUE(service.PublishAll(model2_).ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(service.stats().template_entries_warmed, 0u);
   service.Stop();
@@ -251,7 +247,7 @@ TEST_F(WireTest, WarmingIsSkippedWithoutACorpus) {
 TEST_F(WireTest, PingScoreAndStatsOverUnixSocket) {
   engine::ScoringService service({model_});
   engine::ModelRegistry registry;
-  ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
+  ASSERT_TRUE(registry.Record("default", model_).ok());
   net::ReactorServer server(&service, &registry, "default");
   const std::string address = SocketAddress("basic");
   ASSERT_TRUE(server.Listen(address).ok());
@@ -343,7 +339,7 @@ TEST_F(WireTest, PublishUnderTrafficThenRollbackRestoresPriorEpochScores) {
   engine::ScoringService service({model_, model_});
   service.SetWarmCorpus(&dataset_->records);
   engine::ModelRegistry registry;
-  ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
+  ASSERT_TRUE(registry.Record("default", model_).ok());
   net::ReactorServer server(&service, &registry, "default");
   const std::string address = SocketAddress("pub");
   ASSERT_TRUE(server.Listen(address).ok());
@@ -475,7 +471,7 @@ TEST_F(WireTest, MalformedFramesGetCleanErrorsAndServerSurvives) {
 TEST_F(WireTest, PublishRejectsCorruptArtifactAndKeepsServing) {
   engine::ScoringService service({model_});
   engine::ModelRegistry registry;
-  ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
+  ASSERT_TRUE(registry.Record("default", model_).ok());
   net::ReactorServer server(&service, &registry, "default");
   const std::string address = SocketAddress("corrupt");
   ASSERT_TRUE(server.Listen(address).ok());
@@ -521,7 +517,7 @@ TEST_F(WireTest, PublishChecksumCatchesWireCorruptionBeforeAnyEpoch) {
   // the artifact never even reaches Deserialize.
   engine::ScoringService service({model_});
   engine::ModelRegistry registry;
-  ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
+  ASSERT_TRUE(registry.Record("default", model_).ok());
   net::ReactorServer server(&service, &registry, "default");
   const std::string address = SocketAddress("cksum");
   ASSERT_TRUE(server.Listen(address).ok());
@@ -570,7 +566,7 @@ TEST_F(WireTest, PublishedArtifactServesThroughCompiledEnsemble) {
   // the training-side model's own.
   engine::ScoringService service({model2_});
   engine::ModelRegistry registry;
-  ASSERT_TRUE(registry.Record("default", Borrow(model2_)).ok());
+  ASSERT_TRUE(registry.Record("default", model2_).ok());
   net::ReactorServer server(&service, &registry, "default");
   const std::string address = SocketAddress("compiled");
   ASSERT_TRUE(server.Listen(address).ok());
@@ -583,7 +579,7 @@ TEST_F(WireTest, PublishedArtifactServesThroughCompiledEnsemble) {
   auto current = registry.Current("default");
   ASSERT_TRUE(current.ok());
   const core::LearnedWmpModel* received = current->model.get();
-  ASSERT_NE(received, model_) << "the artifact must have crossed the wire";
+  ASSERT_NE(received, model_.get()) << "the artifact must have crossed the wire";
   ASSERT_NE(received->compiled(), nullptr)
       << "deserialize must recompile the tree-family regressor";
   EXPECT_TRUE(received->compiled_inference());

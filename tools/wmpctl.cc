@@ -495,8 +495,10 @@ int CmdServeBench(const std::map<std::string, std::string>& flags) {
 
   auto records = workloads::LoadQueryLog(log_path);
   if (!records.ok()) return Fail(records.status());
-  auto model = core::LearnedWmpModel::LoadFromFile(model_path);
-  if (!model.ok()) return Fail(model.status());
+  auto loaded = core::LearnedWmpModel::LoadFromFile(model_path);
+  if (!loaded.ok()) return Fail(loaded.status());
+  auto model =
+      std::make_shared<const core::LearnedWmpModel>(std::move(*loaded));
 
   const int clients = std::max(std::atoi(FlagOr(flags, "clients", "8").c_str()), 1);
   const int num_shards = std::max(std::atoi(FlagOr(flags, "shards", "1").c_str()), 1);
@@ -514,8 +516,8 @@ int CmdServeBench(const std::map<std::string, std::string>& flags) {
       std::atoll(FlagOr(flags, "template-cache", "65536").c_str()));
   // All shards serve the one trained model; sharding spreads dispatch.
   engine::ScoringService service(
-      std::vector<const core::LearnedWmpModel*>(
-          static_cast<size_t>(num_shards), &*model),
+      std::vector<std::shared_ptr<const core::LearnedWmpModel>>(
+          static_cast<size_t>(num_shards), model),
       sopt);
 
   const auto batches = engine::MakeConsecutiveBatches(records->size(), batch_size);
