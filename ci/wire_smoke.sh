@@ -5,11 +5,14 @@
 # model with `wmpctl train --publish --connect` (which asserts zero failed
 # requests and bitwise post-swap scores), roll it back, and shut the
 # server down cleanly. The loop runs TWICE against the epoll reactor: once
-# with the plain request/response client, once with the pipelined client
-# (`score --pipeline`) — same server, same scores, both client dialects.
-# The clean shutdown must print the reactor's counter line (the
-# `backpressure pauses` field is what benchmark harnesses parse). Any
-# nonzero step fails the script.
+# with the synchronous WireClient (one request per call), once with a
+# window of pipelined requests (`score --pipeline`) — same server, same
+# scores. Both clients ride the one client core, so the server's shutdown
+# line must count nonzero `pipelined frames` in BOTH loops, and every
+# `wmpctl score` run must print the `server:` stats line it fetched on its
+# scoring connection. The shutdown line must also carry the
+# `backpressure pauses` field that benchmark harnesses parse. Any nonzero
+# step fails the script.
 set -euo pipefail
 
 BUILD=${1:-build}
@@ -51,7 +54,10 @@ run_loop() {
   echo "== [$tag] score the log over the wire in chunks"
   # shellcheck disable=SC2086
   "$BUILD/wmpctl" score --log="$LOG" --connect="unix:$sock" --chunk=150 \
-    --batch=10 $score_flags
+    --batch=10 $score_flags | tee "$WORK/score-$tag-1.out"
+  grep -q "^server: " "$WORK/score-$tag-1.out" || {
+    echo "score run lacks its server stats line"; exit 1;
+  }
 
   echo "== [$tag] retrain (different seed) and publish over the wire"
   "$BUILD/wmpctl" train --log="$LOG" --model="$MODEL" --templates=12 \
@@ -63,7 +69,10 @@ run_loop() {
   echo "== [$tag] score again after rollback"
   # shellcheck disable=SC2086
   "$BUILD/wmpctl" score --log="$LOG" --connect="unix:$sock" --chunk=150 \
-    --batch=10 $score_flags
+    --batch=10 $score_flags | tee "$WORK/score-$tag-2.out"
+  grep -q "^server: " "$WORK/score-$tag-2.out" || {
+    echo "score run lacks its server stats line"; exit 1;
+  }
 
   echo "== [$tag] clean shutdown"
   kill -INT "$SERVER_PID"
@@ -72,6 +81,10 @@ run_loop() {
   cat "$server_log"
   grep -q "backpressure pauses" "$server_log" || {
     echo "server log lacks the reactor shutdown summary"; exit 1;
+  }
+  grep -Eq "reactor: [1-9][0-9]* pipelined frames" "$server_log" || {
+    echo "server served no pipelined frames; the client bypassed the core"
+    exit 1
   }
 }
 

@@ -28,7 +28,7 @@ std::vector<std::future<Result<double>>> RequestDispatcher::SubmitScore(
   return futures;
 }
 
-Frame RequestDispatcher::BuildScoreResponse(
+std::string RequestDispatcher::BuildScoreResponse(
     std::vector<Result<double>> outcomes) {
   ScoreResponse response;
   response.ok.resize(outcomes.size());
@@ -43,7 +43,7 @@ Frame RequestDispatcher::BuildScoreResponse(
       response.errors[i] = outcomes[i].status().ToString();
     }
   }
-  return Frame{FrameType::kScoreResponse, EncodeScoreResponse(response)};
+  return EncodeScoreResponse(response);
 }
 
 Frame RequestDispatcher::HandlePublish(const Frame& request) const {

@@ -13,7 +13,7 @@
 ///
 /// Scoring is the one request that is intentionally split: SubmitScore
 /// enqueues every workload of a request and hands back the futures, and
-/// BuildScoreResponse turns collected outcomes into the response frame.
+/// BuildScoreResponse turns collected outcomes into the response payload.
 /// The reactor parks the futures and finishes the response as the service
 /// fulfills them, without ever blocking the event loop.
 
@@ -55,8 +55,9 @@ class RequestDispatcher {
   std::vector<std::future<Result<double>>> SubmitScore(
       const ScoreRequest& request) const;
 
-  /// Folds fully-collected outcomes into a kScoreResponse frame.
-  static Frame BuildScoreResponse(std::vector<Result<double>> outcomes);
+  /// Folds fully-collected outcomes into a ScoreResponse payload (the body
+  /// of a kScoreResponsePipelined frame).
+  static std::string BuildScoreResponse(std::vector<Result<double>> outcomes);
 
   /// Deserializes the carried artifact (checksum already verified at
   /// decode) and rolls it out across all shards with registry recording.

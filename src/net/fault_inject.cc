@@ -4,10 +4,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <thread>
 
+#include "net/backoff.h"
 #include "net/socket.h"
 #include "util/strings.h"
 
@@ -17,49 +17,11 @@ namespace {
 
 std::atomic<FaultInjector*> g_injector{nullptr};
 
-// splitmix64 — the repo's standard cheap deterministic generator.
-uint64_t NextRand(uint64_t* state) {
-  uint64_t z = (*state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 double UnitDouble(uint64_t r) {
   return static_cast<double>(r >> 11) * (1.0 / 9007199254740992.0);
 }
 
-// The plain blocking write loop (what frame.cc would do without faults).
-Status PlainWrite(int fd, const char* data, size_t n) {
-  size_t off = 0;
-  while (off < n) {
-    const ssize_t w = SendSome(fd, data + off, n - off);
-    if (w < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::DeadlineExceeded("frame write timed out");
-      }
-      return Status::IOError(
-          StrFormat("frame write failed: %s", std::strerror(errno)));
-    }
-    if (w == 0) return Status::IOError("frame write made no progress");
-    off += static_cast<size_t>(w);
-  }
-  return Status::OK();
-}
-
 }  // namespace
-
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNone: return "none";
-    case FaultKind::kDelay: return "delay";
-    case FaultKind::kDrop: return "drop";
-    case FaultKind::kTruncate: return "truncate";
-    case FaultKind::kBitFlip: return "bit-flip";
-    case FaultKind::kReset: return "reset";
-  }
-  return "unknown";
-}
 
 FaultInjector::FaultInjector(FaultPlan plan)
     : plan_(std::move(plan)), rng_state_(plan_.seed) {}
@@ -79,11 +41,6 @@ void FaultInjector::TargetFd(int fd) {
   target_fds_.insert(fd);
 }
 
-void FaultInjector::UntargetFd(int fd) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  target_fds_.erase(fd);
-}
-
 bool FaultInjector::Targets(int fd) const {
   return target_fds_.empty() || target_fds_.count(fd) > 0;
 }
@@ -98,7 +55,7 @@ ScriptedFault FaultInjector::NextFault(size_t n) {
   // sequence of draws — and therefore which ops fault — depends only on
   // the plan and the op order, never on what earlier faults did.
   const uint64_t index = op_counter_++;
-  const double u = UnitDouble(NextRand(&rng_state_));
+  const double u = UnitDouble(BackoffNextRand(&rng_state_));
   stats_.ops++;
   for (const ScriptedFault& s : plan_.script) {
     if (s.op_index == index && s.kind != FaultKind::kNone) return s;
@@ -121,7 +78,7 @@ ScriptedFault FaultInjector::NextFault(size_t n) {
   }
   if (u < (edge += plan_.flip_prob)) {
     fault.kind = FaultKind::kBitFlip;
-    fault.bit = NextRand(&rng_state_);
+    fault.bit = BackoffNextRand(&rng_state_);
     return fault;
   }
   if (u < edge + plan_.reset_prob) {
@@ -135,7 +92,7 @@ Status FaultInjector::InjectedWrite(int fd, const char* data, size_t n) {
   ScriptedFault fault;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!plan_.faults_writes || !Targets(fd)) return PlainWrite(fd, data, n);
+    if (!plan_.faults_writes || !Targets(fd)) return SendAll(fd, data, n);
     fault = NextFault(n);
     switch (fault.kind) {
       case FaultKind::kNone: break;
@@ -148,18 +105,18 @@ Status FaultInjector::InjectedWrite(int fd, const char* data, size_t n) {
   }
   switch (fault.kind) {
     case FaultKind::kNone:
-      return PlainWrite(fd, data, n);
+      return SendAll(fd, data, n);
     case FaultKind::kDelay:
       std::this_thread::sleep_for(std::chrono::milliseconds(
           fault.delay_ms > 0 ? fault.delay_ms : plan_.delay_ms));
-      return PlainWrite(fd, data, n);
+      return SendAll(fd, data, n);
     case FaultKind::kDrop:
       // The caller believes the frame left; the peer never sees it. The
       // bytes-in-flight invariant a deadline must cover.
       return Status::OK();
     case FaultKind::kTruncate: {
       const size_t keep = fault.keep_bytes < n ? fault.keep_bytes : n / 2;
-      Status st = keep > 0 ? PlainWrite(fd, data, keep) : Status::OK();
+      Status st = keep > 0 ? SendAll(fd, data, keep) : Status::OK();
       ::shutdown(fd, SHUT_RDWR);
       return st.ok() ? Status::IOError(StrFormat(
                            "fault injection: frame truncated after %zu/%zu "
@@ -174,16 +131,16 @@ Status FaultInjector::InjectedWrite(int fd, const char* data, size_t n) {
         corrupted[static_cast<size_t>(bit / 8)] ^=
             static_cast<char>(1u << (bit % 8));
       }
-      return PlainWrite(fd, corrupted.data(), corrupted.size());
+      return SendAll(fd, corrupted.data(), corrupted.size());
     }
     case FaultKind::kReset:
       ::shutdown(fd, SHUT_RDWR);
       return Status::IOError("fault injection: connection reset on write");
   }
-  return PlainWrite(fd, data, n);
+  return SendAll(fd, data, n);
 }
 
-Status FaultInjector::BeforeRead(int fd) {
+Status FaultInjector::AfterHeader(int fd) {
   ScriptedFault fault;
   {
     std::lock_guard<std::mutex> lock(mutex_);

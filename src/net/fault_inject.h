@@ -6,10 +6,14 @@
 /// behind the fleet router's failure tests.
 ///
 /// Every blocking frame read/write in src/net (ReadFrame/WriteFrame, i.e.
-/// both wire clients) consults the process-global
-/// armed FaultInjector, which may, per operation:
+/// net::AsyncWireClient and the WireClient facade over it) consults the
+/// process-global armed FaultInjector. A write is one op when it starts; a
+/// read is one op when its frame header has arrived, so a reader thread
+/// parked between responses never takes an op index ahead of the write
+/// that provokes its next response. Per operation the injector may:
 ///
-///   kDelay      sleep before performing the op (delay storms, slow peers)
+///   kDelay      sleep before performing the op (delay storms, slow peers;
+///               a delayed read sleeps before reading the payload)
 ///   kDrop       report a write as sent without sending it — the peer
 ///               waits for bytes that never come (tests read deadlines)
 ///   kTruncate   send a prefix of the frame, then reset the connection
@@ -59,8 +63,6 @@ enum class FaultKind : uint8_t {
   kBitFlip,   ///< writes only; a faulted read treats it as kReset
   kReset,
 };
-
-const char* FaultKindName(FaultKind kind);
 
 /// One scripted fault: fire `kind` on the `op_index`-th targeted frame
 /// operation (0-based, reads and writes share the counter).
@@ -117,7 +119,6 @@ class FaultInjector {
   /// frame op in the process is eligible — usually too blunt when client
   /// and server share the process, so tests target the fds they mean.
   void TargetFd(int fd);
-  void UntargetFd(int fd);
 
   FaultStats stats() const;
 
@@ -127,9 +128,10 @@ class FaultInjector {
   /// IOError for truncations/resets; reads delay or reset.
   /// @{
   Status InjectedWrite(int fd, const char* data, size_t n);
-  /// Runs before the codec's own read loop; on a reset fault shuts the
-  /// connection down and returns the error the read would then surface.
-  Status BeforeRead(int fd);
+  /// Runs once a frame header has arrived, before the payload is read;
+  /// on a reset fault shuts the connection down and returns the error the
+  /// read would then surface.
+  Status AfterHeader(int fd);
   /// @}
 
  private:

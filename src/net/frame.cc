@@ -16,34 +16,10 @@ namespace {
 constexpr uint32_t kFrameMagic = 0x31464D57;  // "WMF1" little-endian
 constexpr size_t kHeaderBytes = kFrameHeaderBytes;
 
-// Blocking write of exactly n bytes. SendSome (net/socket.h) is the shared
-// EINTR/SIGPIPE-correct primitive; an armed FaultInjector takes over the
-// whole operation instead (chaos tests). With SO_SNDTIMEO armed on the fd
-// a stalled peer surfaces as kDeadlineExceeded, not an indefinite block.
-Status WriteAll(int fd, const char* data, size_t n) {
-  if (FaultInjector* chaos = ActiveFaultInjector()) {
-    return chaos->InjectedWrite(fd, data, n);
-  }
-  size_t off = 0;
-  while (off < n) {
-    const ssize_t w = SendSome(fd, data + off, n - off);
-    if (w < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::DeadlineExceeded("frame write timed out");
-      }
-      return Status::IOError(
-          StrFormat("frame write failed: %s", std::strerror(errno)));
-    }
-    if (w == 0) return Status::IOError("frame write made no progress");
-    off += static_cast<size_t>(w);
-  }
-  return Status::OK();
-}
-
 // Blocking read of exactly n bytes. `*got` reports progress so the caller
-// can distinguish clean EOF (0 bytes) from a truncated frame. With
-// SO_RCVTIMEO armed, a peer that stalls mid-frame fails the read with
-// kDeadlineExceeded instead of parking the thread forever.
+// can distinguish clean EOF (0 bytes) from a truncated frame. A read that
+// cannot proceed (EAGAIN on a nonblocking descriptor) reports
+// kDeadlineExceeded.
 Status ReadAll(int fd, char* data, size_t n, size_t* got) {
   *got = 0;
   while (*got < n) {
@@ -150,13 +126,16 @@ Status WriteFrame(int fd, FrameType type, std::string_view payload) {
   // One header+payload buffer, one write loop: a frame is never interleaved
   // with another thread's frame as long as callers serialize per fd.
   const std::string wire = EncodeFrame(type, payload);
-  return WriteAll(fd, wire.data(), wire.size());
+  // An armed FaultInjector takes over the whole write (chaos tests). With
+  // SO_SNDTIMEO armed on the fd a stalled peer surfaces as
+  // kDeadlineExceeded, not an indefinite block.
+  if (FaultInjector* chaos = ActiveFaultInjector()) {
+    return chaos->InjectedWrite(fd, wire.data(), wire.size());
+  }
+  return SendAll(fd, wire.data(), wire.size());
 }
 
 Result<Frame> ReadFrame(int fd, const FrameLimits& limits) {
-  if (FaultInjector* chaos = ActiveFaultInjector()) {
-    WMP_RETURN_IF_ERROR(chaos->BeforeRead(fd));
-  }
   char header[kHeaderBytes];
   size_t got = 0;
   WMP_RETURN_IF_ERROR(ReadAll(fd, header, sizeof(header), &got));
@@ -165,6 +144,12 @@ Result<Frame> ReadFrame(int fd, const FrameLimits& limits) {
     return Status::IOError(
         StrFormat("connection closed inside a frame header (%zu/%zu bytes)",
                   got, sizeof(header)));
+  }
+  // Read faults count once a header has ARRIVED, not when a reader starts
+  // waiting: a reader thread parked between responses then never takes an
+  // op index ahead of its caller's next write.
+  if (FaultInjector* chaos = ActiveFaultInjector()) {
+    WMP_RETURN_IF_ERROR(chaos->AfterHeader(fd));
   }
   FrameType type;
   uint32_t payload_len = 0;

@@ -4,8 +4,8 @@
 /// \file frame.h
 /// Length-prefixed binary frame codec — the unit of the wire protocol.
 ///
-/// Every message between a client (net::WireClient, net::AsyncWireClient)
-/// and net::ReactorServer is one frame:
+/// Every message between a client (net::AsyncWireClient, and the
+/// net::WireClient facade over it) and net::ReactorServer is one frame:
 ///
 ///   offset 0  u32  magic  0x31464D57 ("WMF1", little-endian)
 ///   offset 4  u8   type   (FrameType)
@@ -19,7 +19,8 @@
 /// make the receiver allocate or block unboundedly.
 ///
 /// The fd-based I/O helpers speak blocking POSIX descriptors (TCP or Unix
-/// sockets; plain pipes work too, which the tests use). Both directions
+/// sockets; plain pipes work too, which the tests use). The client core's
+/// reader thread is their one production reader. Both directions
 /// handle partial transfers: `ReadFrame` loops until the header and payload
 /// are complete, `WriteFrame` loops over short writes — the kernel is free
 /// to split a frame at any byte boundary and the codec must not care.
@@ -39,6 +40,8 @@ namespace wmp::net {
 enum class FrameType : uint8_t {
   kPing = 0,
   kPong = 1,
+  /// Retired: plain (unpipelined) score frames. The server answers a
+  /// kScoreRequest with kError; the ids are never reused.
   kScoreRequest = 2,
   kScoreResponse = 3,
   kPublishRequest = 4,
@@ -53,9 +56,9 @@ enum class FrameType : uint8_t {
   /// ScoreRequest/ScoreResponse encoding. A client may have many of these
   /// in flight on one connection and the server answers in COMPLETION
   /// order, not request order — the correlation id is how responses find
-  /// their request. The plain (non-pipelined) frame types above keep strict
-  /// request/response ordering, which is what makes the blocking client a
-  /// usable equivalence oracle against either server.
+  /// their request. Every other request is a plain frame: the server runs
+  /// it inline and answers plain frames in request order, which is how
+  /// the client matches a response without an id.
   /// @{
   kScoreRequestPipelined = 10,
   kScoreResponsePipelined = 11,

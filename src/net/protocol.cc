@@ -111,6 +111,25 @@ Result<ScoreResponse> DecodeScoreResponse(const std::string& payload) {
   return response;
 }
 
+Result<std::vector<Result<double>>> ScoreOutcomes(
+    const ScoreResponse& response, size_t num_workloads) {
+  if (response.size() != num_workloads) {
+    return Status::Internal(
+        StrFormat("server answered %zu workloads for a %zu-workload request",
+                  response.size(), num_workloads));
+  }
+  std::vector<Result<double>> outcomes;
+  outcomes.reserve(response.size());
+  for (size_t i = 0; i < response.size(); ++i) {
+    if (response.ok[i]) {
+      outcomes.emplace_back(response.predictions[i]);
+    } else {
+      outcomes.emplace_back(Status::Internal(response.errors[i]));
+    }
+  }
+  return outcomes;
+}
+
 std::string EncodePublishRequest(const PublishRequest& request) {
   BinaryWriter w;
   w.WriteString(request.model_name);

@@ -170,6 +170,12 @@ Result<ScoreRequest> DecodeScoreRequest(const std::string& payload);
 std::string EncodeScoreResponse(const ScoreResponse& response);
 Result<ScoreResponse> DecodeScoreResponse(const std::string& payload);
 
+/// One Result per workload of a decoded response (a failed workload
+/// carries its server-side error). Fails when the response does not hold
+/// exactly `num_workloads` outcomes.
+Result<std::vector<Result<double>>> ScoreOutcomes(
+    const ScoreResponse& response, size_t num_workloads);
+
 std::string EncodePublishRequest(const PublishRequest& request);
 Result<PublishRequest> DecodePublishRequest(const std::string& payload);
 

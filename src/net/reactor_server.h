@@ -35,12 +35,12 @@
 ///    zero-timeout polls and writes the responses. Publish/rollback/stats
 ///    frames execute inline — they are control-plane rare and must
 ///    serialize against rollouts anyway.
-///  * **Ordering.** Plain frames keep the protocol's strict
-///    request→response order per connection (an ordered response-slot
-///    queue holds completed responses until their predecessors finish).
-///    kScoreRequestPipelined frames answer in completion order, matched by
-///    correlation id — that is what lets net::AsyncWireClient keep N
-///    requests in flight per connection.
+///  * **Ordering.** Scores arrive only as kScoreRequestPipelined frames
+///    and answer in completion order, matched by correlation id — that is
+///    what lets net::AsyncWireClient keep N requests in flight per
+///    connection. Every other verb runs inline on the loop, so its
+///    response is appended at once and plain responses leave in request
+///    order with no queue. A retired plain kScoreRequest gets a kError.
 ///  * **Backpressure.** Responses are buffered per connection and written
 ///    as the socket accepts them (write interest toggles on partial
 ///    writes). When a slow reader's buffer passes the high watermark the
@@ -60,7 +60,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -143,14 +142,6 @@ class ReactorServer {
     bool error = false;
   };
 
-  /// A response waiting for its place in the plain (non-pipelined)
-  /// request→response order of one connection.
-  struct ResponseSlot {
-    uint64_t id = 0;
-    bool ready = false;
-    Frame frame;
-  };
-
   struct Conn {
     int fd = -1;
     /// Inbound bytes not yet parsed; `rpos` is the consumed prefix
@@ -162,12 +153,10 @@ class ReactorServer {
     std::string wbuf;
     size_t wpos = 0;
     bool read_paused = false;  ///< backpressure: over the high watermark
-    bool closing = false;      ///< flush slots + wbuf, then close
+    bool closing = false;      ///< flush wbuf, then close
     bool registered_read = false;
     bool registered_write = false;
     uint64_t pending_scores = 0;  ///< parked score requests on this conn
-    uint64_t next_slot_id = 0;
-    std::deque<ResponseSlot> slots;
     std::chrono::steady_clock::time_point last_activity;
   };
 
@@ -179,31 +168,18 @@ class ReactorServer {
     std::unique_ptr<ScoreRequest> request;
     std::vector<std::future<Result<double>>> futures;
     std::vector<Result<double>> outcomes;
-    bool pipelined = false;
     uint32_t correlation_id = 0;
-    uint64_t slot_id = 0;  ///< plain requests only
   };
 
   void RunLoop();
   void AcceptNew();
   void OnReadable(const std::shared_ptr<Conn>& conn);
-  void OnWritable(const std::shared_ptr<Conn>& conn);
   void ParseFrames(const std::shared_ptr<Conn>& conn);
   void HandleFrame(const std::shared_ptr<Conn>& conn, Frame frame);
-  void HandleScoreFrame(const std::shared_ptr<Conn>& conn,
-                        const Frame& frame);
   void HandlePipelinedScoreFrame(const std::shared_ptr<Conn>& conn,
                                  const Frame& frame);
-  /// Appends a frame at the back of the plain response order.
-  void PushOrdered(const std::shared_ptr<Conn>& conn, Frame frame);
-  /// Opens an unfilled slot in the plain response order; CompleteSlot
-  /// fills it (possibly much later) and flushes what became writable.
-  uint64_t OpenSlot(const std::shared_ptr<Conn>& conn);
-  void CompleteSlot(const std::shared_ptr<Conn>& conn, uint64_t slot_id,
-                    Frame frame);
-  void FlushReadySlots(const std::shared_ptr<Conn>& conn);
-  /// Encodes `frame` into the connection's write buffer and writes what
-  /// the socket will take now.
+  /// Encodes `frame` into the connection's write buffer (counting a kError
+  /// as a protocol error) and writes what the socket will take now.
   void AppendFrame(const std::shared_ptr<Conn>& conn, const Frame& frame);
   /// Writes buffered bytes until the kernel pushes back; manages write
   /// interest, backpressure resume, and deferred close.

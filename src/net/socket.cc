@@ -260,24 +260,13 @@ Result<int> ConnectTo(const std::string& address, int timeout_ms) {
   return fd;
 }
 
-Status SetIoDeadlines(int fd, int recv_timeout_ms, int send_timeout_ms) {
-  const auto set = [fd](int opt, int ms, const char* what) -> Status {
-    timeval tv{};
-    tv.tv_sec = ms / 1000;
-    tv.tv_usec = (ms % 1000) * 1000;
-    if (::setsockopt(fd, SOL_SOCKET, opt, &tv, sizeof(tv)) < 0) {
-      if (errno == ENOTSOCK) return Status::OK();  // pipes in tests
-      return Errno(what);
-    }
-    return Status::OK();
-  };
-  if (recv_timeout_ms >= 0) {
-    WMP_RETURN_IF_ERROR(set(SO_RCVTIMEO, recv_timeout_ms,
-                            "setsockopt(SO_RCVTIMEO)"));
-  }
-  if (send_timeout_ms >= 0) {
-    WMP_RETURN_IF_ERROR(set(SO_SNDTIMEO, send_timeout_ms,
-                            "setsockopt(SO_SNDTIMEO)"));
+Status SetSendTimeout(int fd, int timeout_ms) {
+  timeval tv{};
+  tv.tv_sec = timeout_ms / 1000;
+  tv.tv_usec = (timeout_ms % 1000) * 1000;
+  if (::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) < 0 &&
+      errno != ENOTSOCK) {  // pipes in tests
+    return Errno("setsockopt(SO_SNDTIMEO)");
   }
   return Status::OK();
 }
@@ -293,6 +282,23 @@ ssize_t SendSome(int fd, const void* data, size_t n) {
     if (w < 0 && errno == EINTR) continue;
     return w;
   }
+}
+
+Status SendAll(int fd, const char* data, size_t n) {
+  size_t off = 0;
+  while (off < n) {
+    const ssize_t w = SendSome(fd, data + off, n - off);
+    if (w < 0) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        return Status::DeadlineExceeded("frame write timed out");
+      }
+      return Status::IOError(
+          StrFormat("frame write failed: %s", std::strerror(errno)));
+    }
+    if (w == 0) return Status::IOError("frame write made no progress");
+    off += static_cast<size_t>(w);
+  }
+  return Status::OK();
 }
 
 ssize_t ReadSome(int fd, void* data, size_t n) {

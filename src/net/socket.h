@@ -76,11 +76,12 @@ class Listener {
 /// fd is blocking either way.
 Result<int> ConnectTo(const std::string& address, int timeout_ms = 0);
 
-/// Arms SO_RCVTIMEO / SO_SNDTIMEO on `fd` (0 disables a direction). Once
-/// armed, a stalled read/write fails with EAGAIN, which ReadSome/SendSome
-/// callers surface as kDeadlineExceeded. A no-op on non-socket
-/// descriptors (pipes in tests), so frame I/O code need not care.
-Status SetIoDeadlines(int fd, int recv_timeout_ms, int send_timeout_ms);
+/// Arms SO_SNDTIMEO on `fd` (0 = no deadline). Once armed, a write the
+/// peer does not drain in time fails with EAGAIN, which SendSome callers
+/// surface as kDeadlineExceeded. Reads keep blocking. A no-op on
+/// non-socket descriptors (pipes in tests), so frame I/O code need not
+/// care.
+Status SetSendTimeout(int fd, int timeout_ms);
 
 /// \name Shared low-level I/O — the ONE place src/net handles SIGPIPE and
 /// EINTR, instead of per-call-site patches.
@@ -91,10 +92,13 @@ Status SetIoDeadlines(int fd, int recv_timeout_ms, int send_timeout_ms);
 /// and every byte read comes through ReadSome. Both retry EINTR
 /// internally and otherwise behave exactly like the syscall: bytes
 /// transferred, 0 on EOF (reads), or -1 with errno set (EAGAIN when a
-/// deadline armed by SetIoDeadlines expires, or on a nonblocking fd).
+/// send deadline armed by SetSendTimeout expires, or on a nonblocking fd).
 /// @{
 ssize_t SendSome(int fd, const void* data, size_t n);
 ssize_t ReadSome(int fd, void* data, size_t n);
+/// Blocking write of exactly `n` bytes over SendSome; an expired send
+/// deadline surfaces as kDeadlineExceeded, any other failure as IOError.
+Status SendAll(int fd, const char* data, size_t n);
 /// @}
 
 /// Closes a connection fd, first shutting both directions down so a peer

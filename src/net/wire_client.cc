@@ -5,12 +5,20 @@
 #include <utility>
 
 #include "net/backoff.h"
-#include "net/socket.h"
 #include "util/hash.h"
 #include "util/io.h"
-#include "util/strings.h"
 
 namespace wmp::net {
+
+namespace {
+
+Status StatusOf(const Status& status) { return status; }
+template <typename T>
+Status StatusOf(const Result<T>& result) {
+  return result.status();
+}
+
+}  // namespace
 
 WireClient::WireClient(std::string address, WireClientOptions options)
     : address_(std::move(address)),
@@ -22,36 +30,21 @@ WireClient::WireClient(std::string address, WireClientOptions options)
 WireClient::~WireClient() { Close(); }
 
 Status WireClient::Connect() {
-  if (fd_ >= 0) return Status::OK();
-  WMP_ASSIGN_OR_RETURN(fd_, ConnectTo(address_, options_.connect_timeout_ms));
-  if (Status st = SetIoDeadlines(fd_, options_.read_timeout_ms,
-                                 options_.write_timeout_ms);
-      !st.ok()) {
-    Close();
-    return st;
-  }
+  if (connected()) return Status::OK();
+  client_.reset();
+  AsyncWireClientOptions options;
+  options.max_payload_bytes = options_.max_payload_bytes;
+  options.connect_timeout_ms = options_.connect_timeout_ms;
+  options.request_timeout_ms = options_.request_timeout_ms;
+  WMP_ASSIGN_OR_RETURN(client_, AsyncWireClient::Connect(address_, options));
   return Status::OK();
 }
 
-void WireClient::Close() {
-  CloseConnection(fd_);
-  fd_ = -1;
-}
+void WireClient::Close() { client_.reset(); }
 
-Result<Frame> WireClient::RoundTrip(FrameType request, std::string payload,
-                                    FrameType expected_response,
-                                    bool idempotent) {
-  FrameLimits limits;
-  limits.max_payload_bytes = options_.max_payload_bytes;
-  // One transparent retry for failures that provably happened BEFORE the
-  // server could have executed the request: Connect and WriteFrame
-  // failures mean at most a truncated frame reached the peer (which it
-  // discards undecoded), so any request is safe to resend. A failed
-  // *response read* is different — the server may well have executed the
-  // request and died writing back — so only idempotent requests (score,
-  // ping, stats) retry across it; publish/rollback surface the error and
-  // let the operator check registry state rather than risk applying a
-  // rollout twice.
+template <typename Call>
+auto WireClient::Retry(bool idempotent, Call&& call)
+    -> decltype(call(static_cast<AsyncWireClient*>(nullptr))) {
   // Retries pace themselves with bounded exponential backoff + full
   // jitter, so a fleet of clients retrying against a recovering server
   // doesn't arrive in synchronized waves.
@@ -70,173 +63,82 @@ Result<Frame> WireClient::RoundTrip(FrameType request, std::string payload,
       last_error = st;
       continue;
     }
-    Status write = WriteFrame(fd_, request, payload);
-    if (!write.ok()) {
-      last_error = write;
-      Close();
-      continue;
-    }
-    auto response = ReadFrame(fd_, limits);
-    if (!response.ok()) {
-      last_error = response.status().IsNotFound()
-                       ? Status::IOError("server closed the connection")
-                       : response.status();
-      Close();
-      if (!idempotent) return last_error;
-      continue;
-    }
-    if (response->type == FrameType::kError) {
-      // Protocol-level rejection: the connection is still framed and
-      // reusable; only this request failed.
-      return StatusFromError(DecodeErrorBody(response->payload));
-    }
-    if (response->type != expected_response) {
-      Close();  // desynchronized — do not reuse the stream
-      return Status::Internal(
-          StrFormat("expected %s frame, got %s",
-                    FrameTypeName(expected_response),
-                    FrameTypeName(response->type)));
-    }
-    return std::move(*response);
+    const uint64_t sent_before = client_->requests_sent();
+    auto outcome = call(client_.get());
+    last_error = StatusOf(outcome);
+    if (last_error.ok()) return outcome;
+    if (client_->alive() && !last_error.IsDeadlineExceeded()) return outcome;
+    // Transport failure: the stream position is unknowable, so drop it.
+    // An unwritten request never reached the server and may always be
+    // resent; after a lost RESPONSE only an idempotent one may, because
+    // the server may have executed it and died writing back.
+    const bool reached_server = client_->requests_sent() != sent_before;
+    Close();
+    if (reached_server && !idempotent) return outcome;
   }
   return last_error;
 }
 
 Status WireClient::Ping() {
-  WMP_ASSIGN_OR_RETURN(Frame pong,
-                       RoundTrip(FrameType::kPing, "wmp", FrameType::kPong));
-  if (pong.payload != "wmp") {
-    return Status::Internal("ping payload not echoed");
-  }
-  return Status::OK();
+  return Retry(true, [](AsyncWireClient* client) { return CallPing(client); });
 }
 
 Result<std::vector<Result<double>>> WireClient::ScoreWorkloads(
     std::string_view tenant,
     const std::vector<workloads::QueryRecord>& records,
     const std::vector<core::WorkloadBatch>& batches) {
-  WMP_ASSIGN_OR_RETURN(
-      Frame frame,
-      RoundTrip(FrameType::kScoreRequest,
-                EncodeScoreRequest(tenant, records, batches),
-                FrameType::kScoreResponse));
-  WMP_ASSIGN_OR_RETURN(ScoreResponse response,
-                       DecodeScoreResponse(frame.payload));
-  if (response.size() != batches.size()) {
-    return Status::Internal(
-        StrFormat("server answered %zu workloads for a %zu-workload request",
-                  response.size(), batches.size()));
-  }
-  std::vector<Result<double>> outcomes;
-  outcomes.reserve(response.size());
-  for (size_t i = 0; i < response.size(); ++i) {
-    if (response.ok[i]) {
-      outcomes.emplace_back(response.predictions[i]);
-    } else {
-      outcomes.emplace_back(Status::Internal(response.errors[i]));
-    }
-  }
-  return outcomes;
+  return Retry(true, [&](AsyncWireClient* client)
+                         -> Result<std::vector<Result<double>>> {
+    WMP_ASSIGN_OR_RETURN(std::future<Result<ScoreResponse>> answer,
+                         client->SubmitScore(tenant, records, batches));
+    WMP_ASSIGN_OR_RETURN(ScoreResponse response, answer.get());
+    return ScoreOutcomes(response, batches.size());
+  });
 }
 
 Result<uint64_t> WireClient::Publish(std::string_view name,
                                      const core::LearnedWmpModel& model) {
   BinaryWriter artifact;
   WMP_RETURN_IF_ERROR(model.Serialize(&artifact));
-  PublishRequest request;
-  request.model_name = std::string(name);
-  request.model_bytes = artifact.buffer();
-  // EncodePublishRequest checksums the artifact bytes; the server
-  // recomputes over what it received and refuses the rollout on mismatch.
-  WMP_ASSIGN_OR_RETURN(
-      Frame frame,
-      RoundTrip(FrameType::kPublishRequest, EncodePublishRequest(request),
-                FrameType::kPublishResponse, /*idempotent=*/false));
-  WMP_ASSIGN_OR_RETURN(PublishResponse response,
-                       DecodePublishResponse(frame.payload));
-  return response.registry_epoch;
+  return Retry(false, [&](AsyncWireClient* client) {
+    return CallPublish(client, name, artifact.buffer());
+  });
 }
 
 Result<uint64_t> WireClient::Rollback(std::string_view name) {
-  RollbackRequest request;
-  request.model_name = std::string(name);
-  WMP_ASSIGN_OR_RETURN(
-      Frame frame,
-      RoundTrip(FrameType::kRollbackRequest, EncodeRollbackRequest(request),
-                FrameType::kRollbackResponse, /*idempotent=*/false));
-  WMP_ASSIGN_OR_RETURN(RollbackResponse response,
-                       DecodeRollbackResponse(frame.payload));
-  return response.registry_epoch;
+  return Retry(false, [&](AsyncWireClient* client) {
+    return CallRollback(client, name);
+  });
 }
 
 Result<StatsResponse> WireClient::Stats() {
-  WMP_ASSIGN_OR_RETURN(Frame frame,
-                       RoundTrip(FrameType::kStatsRequest, "",
-                                 FrameType::kStatsResponse));
-  return DecodeStatsResponse(frame.payload);
+  return Retry(true,
+               [](AsyncWireClient* client) { return CallStats(client); });
 }
 
 Result<HealthResponse> WireClient::Health(uint64_t nonce) {
-  HealthRequest request;
-  request.nonce = nonce;
-  WMP_ASSIGN_OR_RETURN(
-      Frame frame, RoundTrip(FrameType::kHealthRequest,
-                             EncodeHealthRequest(request),
-                             FrameType::kHealthResponse));
-  WMP_ASSIGN_OR_RETURN(HealthResponse response,
-                       DecodeHealthResponse(frame.payload));
-  if (response.nonce != nonce) {
-    Close();  // a stale probe answer means the stream desynchronized
-    return Status::Internal(
-        StrFormat("health probe nonce mismatch (sent %llu, got %llu)",
-                  static_cast<unsigned long long>(nonce),
-                  static_cast<unsigned long long>(response.nonce)));
-  }
-  return response;
+  return Retry(true, [nonce](AsyncWireClient* client) {
+    return CallHealth(client, nonce);
+  });
 }
 
 Result<StageResponse> WireClient::Stage(std::string_view name,
                                         const std::string& model_bytes) {
-  PublishRequest request;
-  request.model_name = std::string(name);
-  request.model_bytes = model_bytes;
-  // Staging is idempotent (a resend parks the identical artifact under a
-  // fresh ticket), so a lost stage RESPONSE is safe to retry — unlike
-  // Commit below, which installs.
-  WMP_ASSIGN_OR_RETURN(
-      Frame frame,
-      RoundTrip(FrameType::kStageRequest, EncodePublishRequest(request),
-                FrameType::kStageResponse));
-  WMP_ASSIGN_OR_RETURN(StageResponse response,
-                       DecodeStageResponse(frame.payload));
-  const uint64_t local_hash = ArtifactChecksum(model_bytes);
-  if (response.artifact_hash != local_hash) {
-    return Status::Internal(StrFormat(
-        "node staged artifact %016llx but %016llx was sent",
-        static_cast<unsigned long long>(response.artifact_hash),
-        static_cast<unsigned long long>(local_hash)));
-  }
-  return response;
+  return Retry(true, [&](AsyncWireClient* client) {
+    return CallStage(client, name, model_bytes);
+  });
 }
 
 Result<PublishResponse> WireClient::Commit(uint64_t ticket) {
-  TicketRequest request;
-  request.ticket = ticket;
-  WMP_ASSIGN_OR_RETURN(
-      Frame frame,
-      RoundTrip(FrameType::kCommitRequest, EncodeTicketRequest(request),
-                FrameType::kCommitResponse, /*idempotent=*/false));
-  return DecodePublishResponse(frame.payload);
+  return Retry(false, [ticket](AsyncWireClient* client) {
+    return CallCommit(client, ticket);
+  });
 }
 
 Result<AbortResponse> WireClient::Abort(uint64_t ticket) {
-  TicketRequest request;
-  request.ticket = ticket;
-  WMP_ASSIGN_OR_RETURN(
-      Frame frame,
-      RoundTrip(FrameType::kAbortRequest, EncodeTicketRequest(request),
-                FrameType::kAbortResponse));
-  return DecodeAbortResponse(frame.payload);
+  return Retry(true, [ticket](AsyncWireClient* client) {
+    return CallAbort(client, ticket);
+  });
 }
 
 }  // namespace wmp::net

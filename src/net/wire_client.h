@@ -2,34 +2,38 @@
 #define WMP_NET_WIRE_CLIENT_H_
 
 /// \file wire_client.h
-/// Client side of the wire protocol: what a DBMS admission controller (or
-/// wmpctl / the benches) embeds to consult a remote ScoringService.
+/// Synchronous client of the wire protocol: what a DBMS admission
+/// controller (or wmpctl / the benches) embeds to consult a remote
+/// ScoringService with one blocking call per request. It is a facade over
+/// net::AsyncWireClient, the one client core: each call submits one frame
+/// on that connection and waits for its future.
 ///
-///  * **Connection reuse.** One client holds one blocking connection and
-///    pipelines request/response pairs over it; Connect is automatic on
-///    first use and after an I/O failure (one transparent reconnect per
-///    call — a restarted server looks like a slow call, not an error).
+///  * **Connection reuse.** The connection opens lazily and reopens after
+///    a transport failure, so a restarted server looks like a slow call.
 ///  * **Batched score requests.** `ScoreWorkloads` mirrors
-///    engine::BatchScorer::ScoreWorkloads: one frame carries the whole
-///    record batch plus every workload's member indices, the server
-///    micro-batches them through its shards, and one frame returns every
-///    outcome — the request count is per *call*, not per workload.
-///  * **Rollouts.** `Publish` ships a locally-trained artifact
-///    (LearnedWmpModel::Serialize bytes) and returns the registry epoch
-///    the server now serves; `Rollback` restores the previous epoch.
+///    engine::BatchScorer::ScoreWorkloads: one pipelined frame carries the
+///    record batch plus every workload's member indices, one frame returns
+///    every outcome — the request count is per *call*, not per workload.
+///  * **Rollouts.** `Publish` ships a locally-trained artifact and returns
+///    the registry epoch now serving; `Rollback` restores the previous one.
+///  * **Retries.** A request whose frame was never written did not reach
+///    the server and is always resent (up to `max_attempts`). After a lost
+///    RESPONSE only idempotent verbs resend (score, ping, stats, health,
+///    stage, abort); publish, commit and rollback surface the error,
+///    because the server may have applied them.
 ///
-/// Thread-safety: a WireClient is a single connection and is NOT
-/// thread-safe; give each client thread its own instance (they multiplex
-/// fine on the server side).
+/// Thread-safety: a WireClient is NOT thread-safe; give each client thread
+/// its own instance (they multiplex fine on the server side).
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/learned_wmp.h"
 #include "core/workload.h"
-#include "net/frame.h"
+#include "net/async_client.h"
 #include "net/protocol.h"
 #include "workloads/query_record.h"
 
@@ -38,24 +42,17 @@ namespace wmp::net {
 struct WireClientOptions {
   /// Receiver-side frame bound (see FrameLimits).
   size_t max_payload_bytes = 64ull << 20;
-  /// \name Deadlines (0 = unbounded, the pre-hardening behavior).
-  ///
-  /// connect_timeout_ms bounds connect(2) itself (see ConnectTo);
-  /// read/write_timeout_ms arm SO_RCVTIMEO/SO_SNDTIMEO, so a stalled
-  /// server surfaces as kDeadlineExceeded instead of parking the caller
-  /// forever. A deadline error closes the connection (the stream position
-  /// is unknowable once a frame may be half-transferred).
-  /// @{
+  /// Deadlines (0 = unbounded): connect(2) itself (see ConnectTo), and
+  /// each request's answer and frame write, so a stalled server surfaces
+  /// as kDeadlineExceeded, which also closes the connection.
   int connect_timeout_ms = 0;
-  int read_timeout_ms = 0;
-  int write_timeout_ms = 0;
-  /// @}
+  int request_timeout_ms = 0;
   /// Total tries per call, >= 1. The default keeps the original "one
-  /// transparent resend" behavior; a router talking to a flapping node
+  /// transparent resend" behavior; a caller talking to a flapping node
   /// raises it. Retries beyond the first pace themselves with bounded
   /// exponential backoff + full jitter (net/backoff.h). Regardless of
-  /// attempts left, a non-idempotent request NEVER resends after a failed
-  /// response read — see RoundTrip.
+  /// attempts left, a non-idempotent request NEVER resends after its
+  /// response was lost (see the file comment).
   int max_attempts = 2;
   uint32_t backoff_base_ms = 10;
   uint32_t backoff_cap_ms = 1000;
@@ -77,7 +74,7 @@ class WireClient {
   Status Connect();
   /// Drops the connection; the next call reconnects.
   void Close();
-  bool connected() const { return fd_ >= 0; }
+  bool connected() const { return client_ != nullptr && client_->alive(); }
   const std::string& address() const { return address_; }
 
   /// Round-trips a ping (connectivity / liveness probe).
@@ -104,7 +101,7 @@ class WireClient {
   /// Service + server counters snapshot.
   Result<StatsResponse> Stats();
 
-  /// \name Fleet control plane (what net::FleetRouter drives).
+  /// \name Fleet control plane (the verbs net::FleetRouter drives).
   /// @{
   /// Liveness/epoch probe; the response echoes `nonce`.
   Result<HealthResponse> Health(uint64_t nonce);
@@ -122,20 +119,17 @@ class WireClient {
   /// @}
 
  private:
-  /// Sends one request frame and reads its response, reconnecting and
-  /// resending once when the failure provably preceded server-side
-  /// execution (connect/write failures). `idempotent` additionally allows
-  /// the resend after a failed response READ — safe for score/ping/stats,
-  /// never for publish/rollback (the server may have applied them before
-  /// the response was lost). kError frames convert to their carried
-  /// Status.
-  Result<Frame> RoundTrip(FrameType request, std::string payload,
-                          FrameType expected_response,
-                          bool idempotent = true);
+  /// Runs `call` on the connection (connecting first), retrying with
+  /// backoff under the resend rule in the file comment. A rejection on a
+  /// live stream (a kError answer) is final; a transport failure or a
+  /// deadline drops the connection.
+  template <typename Call>
+  auto Retry(bool idempotent, Call&& call)
+      -> decltype(call(static_cast<AsyncWireClient*>(nullptr)));
 
   std::string address_;
   WireClientOptions options_;
-  int fd_ = -1;
+  std::unique_ptr<AsyncWireClient> client_;
   uint64_t backoff_state_ = 0;  ///< jitter RNG; seeded in the constructor
 };
 

@@ -1,7 +1,7 @@
 // Chaos tests: the deterministic net::FaultInjector itself, the hardened
 // clients under scripted faults (idempotent retries, the publish
-// never-resend rule, read deadlines, per-request pipelined deadlines),
-// the reactor under concurrent hostile connections, and the fleet
+// never-resend rule, request and write deadlines, per-request pipelined
+// deadlines), the reactor under concurrent hostile connections, and the fleet
 // router's commit-failure compensation — the scenario where a commit
 // response is lost AFTER the node applied it, which the router must
 // detect and roll back so the fleet never serves mixed epochs.
@@ -198,13 +198,13 @@ TEST_F(ChaosTest, WireClientRetriesIdempotentCallsAcrossResets) {
   copts.max_attempts = 3;
   copts.backoff_base_ms = 1;
   copts.backoff_cap_ms = 2;
-  copts.read_timeout_ms = 2000;
-  copts.write_timeout_ms = 2000;
+  copts.request_timeout_ms = 2000;
   net::WireClient client(address, copts);
   ASSERT_TRUE(client.Connect().ok());
 
   // The reactor server does its own non-blocking I/O, so with no targeted
-  // fds only this client's frame ops count — op indexes are exact.
+  // fds only this client's frame ops count — op indexes are exact (a read
+  // counts when its response header arrives).
   // Call 1: write 0, read 1. Call 2: write 2 (reset -> reconnect+resend),
   // write 3, read 4. Call 3: write 5, read 6 (reset; a failed response
   // READ of an idempotent call may resend), write 7, read 8.
@@ -275,7 +275,7 @@ TEST_F(ChaosTest, PublishAppliesOnceAndNeverResendsAcrossALostResponse) {
 
 TEST_F(ChaosTest, WireClientReadDeadlineFailsFastAgainstAStalledServer) {
   // A hand-rolled server that accepts, swallows the request, and answers
-  // nothing: without SO_RCVTIMEO the client would park forever.
+  // nothing: without a request deadline the client would park forever.
   net::Listener listener;
   const std::string address = SocketAddress("stall");
   ASSERT_TRUE(listener.Listen(address).ok());
@@ -290,7 +290,7 @@ TEST_F(ChaosTest, WireClientReadDeadlineFailsFastAgainstAStalledServer) {
   });
 
   net::WireClientOptions copts;
-  copts.read_timeout_ms = 100;
+  copts.request_timeout_ms = 100;
   copts.max_attempts = 1;
   net::WireClient client(address, copts);
   const auto started = std::chrono::steady_clock::now();
@@ -300,6 +300,43 @@ TEST_F(ChaosTest, WireClientReadDeadlineFailsFastAgainstAStalledServer) {
   EXPECT_FALSE(client.connected())
       << "a deadline mid-frame must drop the connection";
   EXPECT_LT(waited, std::chrono::seconds(2));
+  fake.join();
+}
+
+TEST_F(ChaosTest, WriteDeadlineFailsFastAgainstAPeerThatStoppedReading) {
+  // A hand-rolled server that accepts and never reads: once the socket
+  // buffers fill, a blocking write would wait forever without a send
+  // deadline.
+  net::Listener listener;
+  const std::string address = SocketAddress("noread");
+  ASSERT_TRUE(listener.Listen(address).ok());
+  std::promise<void> done;
+  std::thread fake([&] {
+    auto fd = listener.Accept();
+    ASSERT_TRUE(fd.ok());
+    done.get_future().wait();
+    net::CloseConnection(*fd);
+  });
+
+  std::vector<workloads::QueryRecord> records(1);
+  records[0].sql_text.assign(2u << 20, 'x');  // a 2 MB score request
+  std::vector<core::WorkloadBatch> batches(1);
+  batches[0].query_indices = {0};
+
+  net::AsyncWireClientOptions aopts;
+  aopts.request_timeout_ms = 150;
+  auto client = net::AsyncWireClient::Connect(address, aopts);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const auto started = std::chrono::steady_clock::now();
+  auto submitted = (*client)->SubmitScore("t", records, batches);
+  const auto waited = std::chrono::steady_clock::now() - started;
+  ASSERT_FALSE(submitted.ok());
+  EXPECT_TRUE(submitted.status().IsDeadlineExceeded())
+      << submitted.status().ToString();
+  EXPECT_LT(waited, std::chrono::seconds(2));
+  EXPECT_FALSE((*client)->alive()) << "a timed-out write kills the stream";
+  (*client)->Close();
+  done.set_value();
   fake.join();
 }
 
@@ -506,8 +543,8 @@ TEST_F(ChaosTest, CommitResponseLossTriggersCompensationBackToPriorEpoch) {
   net::FleetRouter router(addresses, ropts);
   ASSERT_TRUE(router.Start().ok());  // probes run before the injector arms
 
-  // Reactor nodes do no blocking frame ops, so the router's control-plane
-  // clients are the only ops counted. PublishAll: stage = ops 0..5
+  // Reactor nodes do no blocking frame ops, so the router's node
+  // connections are the only ops counted. PublishAll: stage = ops 0..5
   // (write/read per node), commit node 0 = ops 6,7, commit node 1 =
   // write 8, read 9 — reset op 9, the commit response read.
   net::FaultPlan plan;

@@ -117,7 +117,6 @@ class FleetTest : public ::testing::Test {
     opts.probe_interval_ms = 0;
     opts.connect_timeout_ms = 500;
     opts.request_timeout_ms = 3000;
-    opts.control_timeout_ms = 3000;
     opts.down_after_failures = 2;
     opts.backoff_base_ms = 1;  // keep retries fast in tests
     opts.backoff_cap_ms = 4;

@@ -1,7 +1,7 @@
 // End-to-end tests of the event-loop serving stack: net::ReactorServer
-// driven by blocking clients (plain frames keep strict ordering, so the
-// blocking WireClient doubles as the equivalence oracle), the pipelined
-// net::AsyncWireClient, and the reactor's transport edge cases —
+// driven by the synchronous WireClient facade, by net::AsyncWireClient
+// (pipelined scores and plain calls on one connection), and by raw frames
+// for the reactor's transport edge cases —
 // fragmented frames, slow-reader backpressure, oversize/malformed frame
 // isolation, idle reaping, and publish/rollback under live traffic.
 
@@ -99,7 +99,7 @@ std::vector<uint32_t>* ReactorTest::indices_ = nullptr;
 std::shared_ptr<const core::LearnedWmpModel> ReactorTest::model_;
 std::shared_ptr<const core::LearnedWmpModel> ReactorTest::model2_;
 
-// ---------- Basic equivalence: blocking client against the reactor ----------
+// ---------- Basic equivalence: WireClient against the reactor ----------
 
 TEST_F(ReactorTest, BlockingClientScoresBitwiseEqualThroughReactor) {
   engine::ScoringService service({model_});
@@ -137,33 +137,52 @@ TEST_F(ReactorTest, ByteAtATimeFramesReassembleCorrectly) {
 
   auto fd = net::ConnectTo(address);
   ASSERT_TRUE(fd.ok());
-  // A ping and then a real score request, every byte its own write(2) —
-  // the kernel is free to fragment like this and so is a hostile peer.
+  const auto dribble = [&](const std::string& wire) {
+    for (char byte : wire) {
+      ASSERT_EQ(::write(*fd, &byte, 1), 1);
+    }
+  };
+  // A ping and then a real pipelined score request, every byte its own
+  // write(2) — the kernel is free to fragment like this and so is a
+  // hostile peer.
   const auto batches =
       engine::MakeConsecutiveBatches(dataset_->records.size(), 30);
   const std::vector<double> want = Reference(model_, batches);
-  const std::string wire =
-      net::EncodeFrame(net::FrameType::kPing, "fragmented") +
-      net::EncodeFrame(net::FrameType::kScoreRequest,
-                       net::EncodeScoreRequest("t", dataset_->records,
-                                               batches));
-  for (char byte : wire) {
-    ASSERT_EQ(::write(*fd, &byte, 1), 1);
-  }
+  const std::string score_request =
+      net::EncodeScoreRequest("t", dataset_->records, batches);
+  dribble(net::EncodeFrame(net::FrameType::kPing, "fragmented") +
+          net::EncodeFrame(net::FrameType::kScoreRequestPipelined,
+                           net::EncodePipelinedPayload(7, score_request)));
   auto pong = net::ReadFrame(*fd);
   ASSERT_TRUE(pong.ok());
   EXPECT_EQ(pong->type, net::FrameType::kPong);
   EXPECT_EQ(pong->payload, "fragmented");
   auto response = net::ReadFrame(*fd);
   ASSERT_TRUE(response.ok());
-  ASSERT_EQ(response->type, net::FrameType::kScoreResponse);
-  auto decoded = net::DecodeScoreResponse(response->payload);
+  ASSERT_EQ(response->type, net::FrameType::kScoreResponsePipelined);
+  std::string body;
+  auto correlation_id = net::DecodePipelinedPayload(response->payload, &body);
+  ASSERT_TRUE(correlation_id.ok());
+  EXPECT_EQ(*correlation_id, 7u);
+  auto decoded = net::DecodeScoreResponse(body);
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->size(), batches.size());
   for (size_t w = 0; w < batches.size(); ++w) {
     ASSERT_TRUE(decoded->ok[w]);
     EXPECT_EQ(decoded->predictions[w], want[w]);
   }
+
+  // The retired plain score frame, dribbled the same way, is rejected with
+  // a kError and the connection keeps serving.
+  dribble(net::EncodeFrame(net::FrameType::kScoreRequest, score_request));
+  auto rejected = net::ReadFrame(*fd);
+  ASSERT_TRUE(rejected.ok());
+  EXPECT_EQ(rejected->type, net::FrameType::kError);
+  ASSERT_TRUE(net::WriteFrame(*fd, net::FrameType::kPing, "still").ok());
+  pong = net::ReadFrame(*fd);
+  ASSERT_TRUE(pong.ok());
+  EXPECT_EQ(pong->type, net::FrameType::kPong);
+  EXPECT_EQ(pong->payload, "still");
   net::CloseConnection(*fd);
   server.Shutdown();
   service.Stop();
@@ -459,6 +478,93 @@ TEST_F(ReactorTest, PipelinedErrorIndictsOneRequestNotTheStream) {
   ASSERT_TRUE(pong.ok());
   EXPECT_EQ(pong->type, net::FrameType::kPong);
   net::CloseConnection(*fd);
+  server.Shutdown();
+  service.Stop();
+}
+
+TEST_F(ReactorTest, PlainCallsShareTheConnectionWithPipelinedScores) {
+  engine::ScoringService service({model_});
+  engine::ModelRegistry registry;
+  ASSERT_TRUE(registry.Record("default", model_).ok());
+  net::ReactorServer server(&service, &registry, "default");
+  const std::string address = SocketAddress("mixed");
+  ASSERT_TRUE(server.Listen(address).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  const auto batches =
+      engine::MakeConsecutiveBatches(dataset_->records.size(), 10);
+  ASSERT_GE(batches.size(), 24u);
+  const std::vector<double> want = Reference(model_, batches);
+  // Re-publishing the serving model bumps the epoch without changing any
+  // prediction, so every score must stay bitwise the reference.
+  BinaryWriter artifact;
+  ASSERT_TRUE(model_->Serialize(&artifact).ok());
+  net::PublishRequest publish;
+  publish.model_bytes = artifact.buffer();
+  net::HealthRequest health;
+  health.nonce = 91;
+
+  auto client = net::AsyncWireClient::Connect(address);
+  ASSERT_TRUE(client.ok());
+  // Health, stats and publish frames go out between pipelined score
+  // frames on the one connection, each while >= 16 scores are in flight.
+  std::vector<std::future<Result<net::ScoreResponse>>> scores;
+  std::vector<std::future<Result<net::Frame>>> plain;
+  for (size_t w = 0; w < batches.size(); ++w) {
+    auto future = (*client)->SubmitScore(
+        "t", dataset_->records, std::vector<core::WorkloadBatch>{batches[w]});
+    ASSERT_TRUE(future.ok()) << future.status().ToString();
+    scores.push_back(std::move(*future));
+    Result<std::future<Result<net::Frame>>> call =
+        Status::NotFound("no plain call after this score");
+    if (w == 15) {
+      call = (*client)->SubmitPlain(net::FrameType::kHealthRequest,
+                                    net::EncodeHealthRequest(health),
+                                    net::FrameType::kHealthResponse);
+    } else if (w == 19) {
+      call = (*client)->SubmitPlain(net::FrameType::kStatsRequest, "",
+                                    net::FrameType::kStatsResponse);
+    } else if (w == 23) {
+      call = (*client)->SubmitPlain(net::FrameType::kPublishRequest,
+                                    net::EncodePublishRequest(publish),
+                                    net::FrameType::kPublishResponse);
+    } else {
+      continue;
+    }
+    ASSERT_TRUE(call.ok()) << call.status().ToString();
+    plain.push_back(std::move(*call));
+  }
+  ASSERT_EQ(plain.size(), 3u);
+  auto health_frame = plain[0].get();
+  ASSERT_TRUE(health_frame.ok()) << health_frame.status().ToString();
+  auto health_response = net::DecodeHealthResponse(health_frame->payload);
+  ASSERT_TRUE(health_response.ok());
+  EXPECT_EQ(health_response->nonce, 91u);
+  auto stats_frame = plain[1].get();
+  ASSERT_TRUE(stats_frame.ok()) << stats_frame.status().ToString();
+  auto stats = net::DecodeStatsResponse(stats_frame->payload);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_GE(stats->server.frames_served, 21u);
+  auto publish_frame = plain[2].get();
+  ASSERT_TRUE(publish_frame.ok()) << publish_frame.status().ToString();
+  auto published = net::DecodePublishResponse(publish_frame->payload);
+  ASSERT_TRUE(published.ok());
+  EXPECT_EQ(published->registry_epoch, 2u);
+
+  for (size_t w = 0; w < scores.size(); ++w) {
+    auto outcome = scores[w].get();
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    ASSERT_EQ(outcome->size(), 1u);
+    ASSERT_TRUE(outcome->ok[0]);
+    EXPECT_EQ(outcome->predictions[0], want[w]) << "w=" << w;
+  }
+  // The typed verbs ride the same connection afterwards.
+  auto probe = net::CallHealth(client->get(), 92);
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  EXPECT_EQ(probe->registry_epoch, 2u);
+  EXPECT_TRUE((*client)->alive());
+  EXPECT_EQ(server.stats().wire.connections_accepted, 1u);
+  (*client)->Close();
   server.Shutdown();
   service.Stop();
 }

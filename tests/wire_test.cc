@@ -602,6 +602,27 @@ TEST_F(WireTest, PublishedArtifactServesThroughCompiledEnsemble) {
   service.Stop();
 }
 
+TEST_F(WireTest, RejectedRollbackKeepsTheConnection) {
+  engine::ScoringService service({model_});
+  net::ReactorServer server(&service, nullptr, "default");
+  const std::string address = SocketAddress("norollback");
+  ASSERT_TRUE(server.Listen(address).ok());
+  ASSERT_TRUE(server.Start().ok());
+  net::WireClient client(address);
+  ASSERT_TRUE(client.Ping().ok());
+  // No registry: the server answers kError, which fails this call only.
+  auto rolled = client.Rollback("default");
+  ASSERT_FALSE(rolled.ok());
+  EXPECT_TRUE(rolled.status().IsFailedPrecondition())
+      << rolled.status().ToString();
+  EXPECT_TRUE(client.connected());
+  EXPECT_TRUE(client.Ping().ok());
+  EXPECT_EQ(server.stats().wire.connections_accepted, 1u)
+      << "the ping after the rejection must reuse the connection";
+  server.Shutdown();
+  service.Stop();
+}
+
 TEST_F(WireTest, ClientReconnectsAfterServerRestart) {
   engine::ScoringService service({model_});
   const std::string address = SocketAddress("restart");

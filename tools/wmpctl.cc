@@ -895,14 +895,11 @@ int CmdScore(const std::map<std::string, std::string>& flags) {
                 ml::Rmse(labels, predictions), ml::Mape(labels, predictions));
   }
   if (!cold_split.empty()) std::printf("%s\n", cold_split.c_str());
-  if (pipelined != nullptr) {
-    // The async client only speaks score frames; fetch the closing stats
-    // over a throwaway plain client (the reactor serves both dialects).
-    pipelined->Close();
-    remote = std::make_unique<net::WireClient>(address);
-  }
-  if (remote != nullptr) {
-    if (auto stats = remote->Stats(); stats.ok()) {
+  if (pipelined != nullptr || remote != nullptr) {
+    // The closing stats ride the scoring connection.
+    auto stats = pipelined != nullptr ? net::CallStats(pipelined.get())
+                                      : remote->Stats();
+    if (stats.ok()) {
       std::printf("server: histogram hit rate %.1f%%, template hit rate "
                   "%.1f%%, %llu entries warmed, traversal kernel %s\n",
                   100.0 * stats->service.cache_hit_rate(),
@@ -979,7 +976,6 @@ int CmdFleet(int argc, char** argv,
       std::atoi(FlagOr(flags, "connect-timeout-ms", "1000").c_str());
   ropt.request_timeout_ms =
       std::atoi(FlagOr(flags, "request-timeout-ms", "2000").c_str());
-  ropt.control_timeout_ms = ropt.request_timeout_ms;
   ropt.probe_interval_ms =
       std::atoi(FlagOr(flags, "probe-interval-ms", "200").c_str());
   ropt.max_score_attempts =
