@@ -61,48 +61,69 @@ CentroidIndex::CentroidIndex(const Matrix& centroids) : centroids_(centroids) {
   }
 }
 
-void CentroidIndex::Assign(const double* rows, size_t n, int* labels,
+int CentroidIndex::Nearest(const double* row, int seed, double* distance,
                            AssignStats* stats) const {
   const size_t k = centroids_.rows(), d = centroids_.cols();
-  if (k == 0) return;
+  int best_label = seed;
+  double best =
+      SquaredDistance(row, centroids_.RowPtr(static_cast<size_t>(seed)), d);
+  // Counted in locals and added once: increments through `stats` inside
+  // the loop would chain every candidate through memory.
+  uint64_t bound_skips = 0, early_exits = 0, full_distances = 1;
+  const double* quarter_row =
+      quarter_cc_.data() + static_cast<size_t>(best_label) * k;
+  for (size_t c = 0; c < k; ++c) {
+    if (static_cast<int>(c) == seed) continue;
+    if (quarter_row[c] > best * kBoundSlack) {
+      ++bound_skips;
+      continue;
+    }
+    const double dist =
+        SquaredDistanceEarlyExit(row, centroids_.RowPtr(c), d, best);
+    if (dist == std::numeric_limits<double>::infinity()) {
+      ++early_exits;
+      continue;
+    }
+    ++full_distances;
+    const int ci = static_cast<int>(c);
+    // Tie-aware: the reference scan keeps the lowest index attaining the
+    // minimum; under seeding the current holder may have a higher index
+    // than a tied candidate.
+    if (dist < best || (dist == best && ci < best_label)) {
+      best = dist;
+      best_label = ci;
+      quarter_row = quarter_cc_.data() + static_cast<size_t>(best_label) * k;
+    }
+  }
+  if (stats != nullptr) {
+    stats->bound_skips += bound_skips;
+    stats->early_exits += early_exits;
+    stats->full_distances += full_distances;
+  }
+  // The reference scan starts from best = DBL_MAX and takes only strictly
+  // smaller distances, so a row that overflows against every centroid
+  // stays at label 0.
+  if (!(best < std::numeric_limits<double>::max())) {
+    best = std::numeric_limits<double>::max();
+    best_label = 0;
+  }
+  *distance = best;
+  return best_label;
+}
+
+void CentroidIndex::Assign(const double* rows, size_t n, int* labels,
+                           AssignStats* stats) const {
+  const size_t d = centroids_.cols();
+  if (centroids_.rows() == 0) return;
   AssignStats local;
   int prev = 0;
+  double distance;
   for (size_t r = 0; r < n; ++r) {
-    const double* row = rows + r * d;
     // Seed with the previous row's winner: batches repeat templates, so
     // this usually starts the scan with a tight best and lets the bounds
     // reject most of the other centroids outright.
-    int best_label = prev;
-    double best = SquaredDistance(
-        row, centroids_.RowPtr(static_cast<size_t>(prev)), d);
-    ++local.full_distances;
-    const double* quarter_row =
-        quarter_cc_.data() + static_cast<size_t>(best_label) * k;
-    for (size_t c = 0; c < k; ++c) {
-      if (static_cast<int>(c) == prev) continue;
-      if (quarter_row[c] > best * kBoundSlack) {
-        ++local.bound_skips;
-        continue;
-      }
-      const double dist =
-          SquaredDistanceEarlyExit(row, centroids_.RowPtr(c), d, best);
-      if (dist == std::numeric_limits<double>::infinity()) {
-        ++local.early_exits;
-        continue;
-      }
-      ++local.full_distances;
-      const int ci = static_cast<int>(c);
-      // Tie-aware: the reference scan keeps the lowest index attaining the
-      // minimum; under seeding the current holder may have a higher index
-      // than a tied candidate.
-      if (dist < best || (dist == best && ci < best_label)) {
-        best = dist;
-        best_label = ci;
-        quarter_row = quarter_cc_.data() + static_cast<size_t>(best_label) * k;
-      }
-    }
-    labels[r] = best_label;
-    prev = best_label;
+    prev = Nearest(rows + r * d, prev, &distance, &local);
+    labels[r] = prev;
   }
   local.rows += n;
   if (stats != nullptr) {

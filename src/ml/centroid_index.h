@@ -27,10 +27,14 @@
 ///     the skip decision exact. Duplicate centroids (ccdist == 0) are
 ///     never skipped and resolve by index order like the reference scan.
 ///
-/// Rows within a batch tend to repeat templates, so each row's scan is
-/// seeded with the previous row's winner; a tie-aware update rule
+/// Each row's scan starts from a seed centroid, and a tie-aware update rule
 /// (`d < best || (d == best && c < best_label)`) preserves the reference
-/// semantics of "lowest index attaining the minimum" under seeding.
+/// semantics of "lowest index attaining the minimum" whatever the seed.
+/// `Nearest` is the one per-row scan; its two callers differ only in the
+/// seed. Serving (`Assign`) seeds each row with the previous row's winner,
+/// since rows within a batch tend to repeat templates. k-means training
+/// (kmeans.cc) seeds each row with its label from the previous Lloyd
+/// iteration, since most rows keep their cluster.
 ///
 /// `NearestCentroids` stays in linalg.h as the reference oracle; the tests
 /// and the featurize-throughput bench assert label-for-label equality.
@@ -66,6 +70,16 @@ class CentroidIndex {
   /// inputs. `stats`, when non-null, is accumulated into (not reset).
   void Assign(const double* rows, size_t n, int* labels,
               AssignStats* stats = nullptr) const;
+
+  /// Nearest centroid of one row (`dim()` values), scanning from centroid
+  /// `seed` in [0, k). Returns what the full scan returns: the lowest index
+  /// attaining the minimum squared distance, and writes that minimum,
+  /// bit for bit, to `*distance`. As in the full scan, a row whose every
+  /// distance is >= DBL_MAX gets label 0 and distance DBL_MAX. The seed
+  /// changes only how much is pruned. When `stats` is non-null its pruning
+  /// counters are accumulated into; its `rows` count is left to the caller.
+  int Nearest(const double* row, int seed, double* distance,
+              AssignStats* stats) const;
 
   const Matrix& centroids() const { return centroids_; }
   size_t num_centroids() const { return centroids_.rows(); }

@@ -4,16 +4,22 @@
 #include <cmath>
 #include <limits>
 
+#include "ml/centroid_index.h"
 #include "ml/regressor.h"
 #include "util/parallel.h"
 #include "util/random.h"
+#include "util/strings.h"
 
 namespace wmp::ml {
 
 namespace {
 
+// Rows per ParallelFor chunk for the seeding and assignment passes.
+constexpr size_t kRowGrain = 256;
+
 // One full k-means++ init followed by Lloyd iterations.
-// Returns (centroids, inertia).
+// Returns (centroids, inertia). Only the two elementwise per-row steps run
+// on the worker pool; see kmeans.h for the bitwise contract.
 std::pair<Matrix, double> RunOnce(const Matrix& x, int k, int max_iters,
                                   double tol, Rng* rng) {
   const size_t n = x.rows(), d = x.cols();
@@ -26,9 +32,12 @@ std::pair<Matrix, double> RunOnce(const Matrix& x, int k, int max_iters,
   std::copy(x.RowPtr(first), x.RowPtr(first) + d, centroids.RowPtr(0));
   for (size_t c = 1; c < kk; ++c) {
     const double* prev = centroids.RowPtr(c - 1);
-    for (size_t i = 0; i < n; ++i) {
-      min_dist[i] = std::min(min_dist[i], SquaredDistance(x.RowPtr(i), prev, d));
-    }
+    util::ParallelFor(n, kRowGrain, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        min_dist[i] =
+            std::min(min_dist[i], SquaredDistance(x.RowPtr(i), prev, d));
+      }
+    });
     double total = 0.0;
     for (double v : min_dist) total += v;
     size_t chosen;
@@ -50,29 +59,26 @@ std::pair<Matrix, double> RunOnce(const Matrix& x, int k, int max_iters,
   }
 
   // --- Lloyd iterations ---
+  // Each row's scan is seeded with its previous label: after the first
+  // few iterations most rows keep their cluster, so the seed is usually
+  // the winner and the index's bounds reject most other centroids.
   std::vector<int> labels(n, 0);
+  std::vector<double> dist(n);
   double prev_inertia = std::numeric_limits<double>::max();
   double inertia = prev_inertia;
   for (int it = 0; it < max_iters; ++it) {
-    inertia = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const double* row = x.RowPtr(i);
-      double best = std::numeric_limits<double>::max();
-      int best_c = 0;
-      for (size_t c = 0; c < kk; ++c) {
-        const double dist = SquaredDistance(row, centroids.RowPtr(c), d);
-        if (dist < best) {
-          best = dist;
-          best_c = static_cast<int>(c);
-        }
+    const CentroidIndex index(centroids);
+    util::ParallelFor(n, kRowGrain, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        labels[i] = index.Nearest(x.RowPtr(i), labels[i], &dist[i], nullptr);
       }
-      labels[i] = best_c;
-      inertia += best;
-    }
-    // Recompute centroids.
+    });
+    // Inertia and centroid sums, serially in row order.
+    inertia = 0.0;
     Matrix sums(kk, d);
     std::vector<size_t> counts(kk, 0);
     for (size_t i = 0; i < n; ++i) {
+      inertia += dist[i];
       double* srow = sums.RowPtr(static_cast<size_t>(labels[i]));
       const double* row = x.RowPtr(i);
       for (size_t j = 0; j < d; ++j) srow[j] += row[j];
@@ -105,6 +111,16 @@ Status KMeans::Fit(const Matrix& x, const KMeansOptions& options) {
   }
   if (options.num_clusters < 1) {
     return Status::InvalidArgument("num_clusters must be >= 1");
+  }
+  // A NaN would make every inertia compare false (no restart is kept), and
+  // the assignment bounds assume finite terms.
+  const double* values = x.RowPtr(0);
+  for (size_t i = 0; i < x.rows() * x.cols(); ++i) {
+    if (!std::isfinite(values[i])) {
+      return Status::InvalidArgument(StrFormat(
+          "KMeans::Fit: non-finite value %g at row %zu, column %zu",
+          values[i], i / x.cols(), i % x.cols()));
+    }
   }
   const int k =
       std::min<int>(options.num_clusters, static_cast<int>(x.rows()));

@@ -7,6 +7,19 @@
 /// This is the paper's template learner (Algorithm 1): queries featurized
 /// from their plans are clustered, and each cluster is a *query template*.
 /// `inertia()` feeds the elbow method the paper uses to tune `k`.
+///
+/// Pruned, parallel Lloyd. Each iteration builds a CentroidIndex over the
+/// current centroids and assigns every row through
+/// `CentroidIndex::Nearest`, seeded with the row's previous label; row
+/// blocks run on the util::ParallelFor pool, as does the elementwise
+/// k-means++ `min_dist` update.
+///
+/// Bitwise contract. Fit returns the same centroids and inertia, bit for
+/// bit, as the plain serial full-scan Lloyd loop (the oracle in
+/// tests/reference/reference_kmeans.h), for every thread count: Nearest
+/// returns the full scan's label (lowest index on ties) and its exact
+/// distance, and every sum (inertia, centroid sums, the k-means++
+/// sampling total) and every RNG draw stays serial in row order.
 
 #include <cstdint>
 #include <vector>
@@ -31,9 +44,10 @@ class KMeans {
  public:
   KMeans() = default;
 
-  /// Clusters the rows of `x`. Returns InvalidArgument for empty input or
-  /// `num_clusters < 1`. If there are fewer distinct rows than clusters,
-  /// surplus centroids collapse onto existing points (still a valid fit).
+  /// Clusters the rows of `x`. Returns InvalidArgument for empty input,
+  /// `num_clusters < 1` or any non-finite value in `x`. If there are fewer
+  /// distinct rows than clusters, surplus centroids collapse onto existing
+  /// points (still a valid fit).
   Status Fit(const Matrix& x, const KMeansOptions& options);
 
   /// Index of the nearest centroid for `row`. Requires a prior Fit().

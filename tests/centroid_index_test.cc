@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -185,6 +186,61 @@ TEST(CentroidIndexTest, ClusteredRowsPruneMostDistances) {
   // The reference scan would compute n*k full distances.
   EXPECT_LT(stats.full_distances, n * k / 2);
   EXPECT_GT(stats.bound_skips + stats.early_exits, n * k / 2);
+}
+
+// Nearest is the per-row scan both Assign and k-means training use: from
+// every seed it must return the reference label and, bit for bit, the
+// distance the full scan computes for it.
+TEST(CentroidIndexTest, NearestIsSeedIndependentAndExact) {
+  Rng rng(41);
+  const size_t k = 9, d = 6, n = 64;
+  Matrix centroids(k, d);
+  for (size_t c = 0; c < k; ++c) {
+    for (size_t j = 0; j < d; ++j) {
+      centroids.At(c, j) = std::round(rng.UniformDouble(-3.0, 3.0));
+    }
+  }
+  // Duplicate centroids (equal distances from every row).
+  for (size_t j = 0; j < d; ++j) centroids.At(7, j) = centroids.At(2, j);
+  std::vector<double> rows(n * d);
+  for (double& v : rows) v = std::round(rng.UniformDouble(-3.0, 3.0));
+  const std::vector<int> want = ReferenceLabels(rows, n, centroids);
+  CentroidIndex index(centroids);
+  CentroidIndex::AssignStats stats;
+  for (size_t r = 0; r < n; ++r) {
+    const double* row = rows.data() + r * d;
+    const double exact = SquaredDistance(
+        row, centroids.RowPtr(static_cast<size_t>(want[r])), d);
+    for (size_t seed = 0; seed < k; ++seed) {
+      double distance = -1.0;
+      EXPECT_EQ(index.Nearest(row, static_cast<int>(seed), &distance, &stats),
+                want[r])
+          << "row " << r << " seed " << seed;
+      EXPECT_EQ(std::memcmp(&distance, &exact, sizeof(double)), 0)
+          << "row " << r << " seed " << seed;
+    }
+  }
+}
+
+// A row whose distance to every centroid overflows: the full scan never
+// finds one below DBL_MAX and keeps label 0, whatever the seed.
+TEST(CentroidIndexTest, RowOverflowingEveryDistanceTakesLabelZero) {
+  const size_t d = 4;
+  Matrix centroids(3, d);
+  for (size_t j = 0; j < d; ++j) {
+    centroids.At(0, j) = -1.0;
+    centroids.At(1, j) = 0.0;
+    centroids.At(2, j) = 1.0;
+  }
+  // Row 0 lands on centroid 2 and seeds row 1, which overflows.
+  std::vector<double> rows = {1.0, 1.0, 1.0, 1.0, 1e300, 1e300, 1e300, 1e300};
+  EXPECT_EQ(ReferenceLabels(rows, 2, centroids), (std::vector<int>{2, 0}));
+  EXPECT_EQ(PrunedLabels(rows, 2, centroids), (std::vector<int>{2, 0}));
+  CentroidIndex index(centroids);
+  CentroidIndex::AssignStats stats;
+  double distance = 0.0;
+  EXPECT_EQ(index.Nearest(rows.data() + d, 2, &distance, &stats), 0);
+  EXPECT_EQ(distance, std::numeric_limits<double>::max());
 }
 
 TEST(CentroidIndexTest, SingleCentroidAndEmptyBatch) {

@@ -3,12 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 
+#include "core/featurizer.h"
+#include "core/template_learner.h"
 #include "ml/dbscan.h"
 #include "ml/kmeans.h"
+#include "ml/scaler.h"
+#include "reference/reference_kmeans.h"
 #include "util/io.h"
+#include "util/parallel.h"
 #include "util/random.h"
+#include "workloads/dataset.h"
 
 namespace wmp::ml {
 namespace {
@@ -137,6 +146,164 @@ TEST(KMeansTest, AssignAllMatchesAssignIdentically) {
       ASSERT_TRUE(one.ok());
       ASSERT_EQ((*all)[i], *one) << "d=" << d << " row " << i;
     }
+  }
+}
+
+TEST(KMeansTest, RejectsNonFiniteInput) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Matrix x = ThreeBlobs(10, 15);
+    x.At(17, 1) = bad;
+    KMeans km;
+    const Status st = km.Fit(x, {.num_clusters = 3});
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_NE(st.message().find("row 17, column 1"), std::string::npos)
+        << st.ToString();
+    EXPECT_FALSE(km.fitted());
+    EXPECT_TRUE(KMeansElbowCurve(x, {2, 3}, {}).status().IsInvalidArgument());
+  }
+}
+
+// ---------- pruned parallel Lloyd vs the full-scan oracle ----------
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.RowPtr(0), b.RowPtr(0),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+// Gaussian blobs around `centers` random centres in `d` dimensions; `n`
+// is kept above the 256-row ParallelFor grain so that several chunks run
+// concurrently.
+Matrix Blobs(size_t n, size_t d, int centers, double spread, uint64_t seed) {
+  Rng rng(seed);
+  Matrix means(static_cast<size_t>(centers), d);
+  for (double& v : means.data()) v = rng.UniformDouble(-20.0, 20.0);
+  Matrix x(n, d);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t c = static_cast<size_t>(rng.UniformInt(0, centers - 1));
+    for (size_t j = 0; j < d; ++j) {
+      x.At(i, j) = means.At(c, j) + rng.Normal(0, spread);
+    }
+  }
+  return x;
+}
+
+// `n` rows, each a copy of one of `distinct` random points: exact ties
+// between rows, and between centroids once clusters collapse.
+Matrix Duplicates(size_t n, size_t d, int distinct, uint64_t seed) {
+  Rng rng(seed);
+  Matrix points(static_cast<size_t>(distinct), d);
+  for (double& v : points.data()) v = std::round(rng.UniformDouble(-3, 3));
+  Matrix x(n, d);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t p = static_cast<size_t>(rng.UniformInt(0, distinct - 1));
+    std::copy(points.RowPtr(p), points.RowPtr(p) + d, x.RowPtr(i));
+  }
+  return x;
+}
+
+struct OracleCase {
+  const char* name;
+  Matrix x;
+  KMeansOptions options;
+};
+
+std::vector<OracleCase> OracleCases() {
+  std::vector<OracleCase> cases;
+  // d % 4 in {0, 1, 2, 3}, d < 8 and d >= 8.
+  for (size_t d : {1u, 2u, 3u, 5u, 7u, 8u, 22u}) {
+    cases.push_back({"blobs", Blobs(1500, d, 6, 0.7, 40 + d),
+                     {.num_clusters = 6, .seed = d}});
+    cases.push_back({"overlapping blobs", Blobs(1200, d, 12, 6.0, 60 + d),
+                     {.num_clusters = 17, .n_init = 2, .seed = 3 + d}});
+  }
+  for (size_t d : {2u, 6u, 9u}) {
+    cases.push_back({"duplicate rows", Duplicates(1000, d, 9, 80 + d),
+                     {.num_clusters = 5, .seed = 7}});
+    // More clusters than distinct rows: every iteration reseeds empties.
+    cases.push_back({"k above distinct rows", Duplicates(800, d, 4, 90 + d),
+                     {.num_clusters = 11, .seed = 8}});
+  }
+  cases.push_back({"k = 1, restarts", Blobs(900, 3, 4, 1.0, 99),
+                   {.num_clusters = 1, .n_init = 4, .seed = 9}});
+  cases.push_back({"k = 1, restarts, d = 13", Blobs(700, 13, 2, 1.0, 98),
+                   {.num_clusters = 1, .n_init = 3, .seed = 10}});
+  return cases;
+}
+
+TEST(KMeansOracleTest, FitMatchesFullScanBitwise) {
+  const std::vector<OracleCase> cases = OracleCases();
+  std::vector<reference::KMeansFit> want;
+  for (const OracleCase& c : cases) {
+    want.push_back(reference::FullScanKMeans(c.x, c.options));
+  }
+  for (int threads : {1, 2, 4}) {
+    util::ScopedParallelism scope(threads);
+    for (size_t i = 0; i < cases.size(); ++i) {
+      const OracleCase& c = cases[i];
+      SCOPED_TRACE(::testing::Message()
+                   << c.name << ", d=" << c.x.cols()
+                   << ", k=" << c.options.num_clusters
+                   << ", threads=" << threads);
+      KMeans km;
+      ASSERT_TRUE(km.Fit(c.x, c.options).ok());
+      EXPECT_TRUE(SameBits(km.centroids(), want[i].centroids));
+      EXPECT_TRUE(SameBits(km.inertia(), want[i].inertia))
+          << km.inertia() << " vs " << want[i].inertia;
+    }
+  }
+}
+
+TEST(KMeansOracleTest, ElbowCurveMatchesFullScanBitwise) {
+  const Matrix x = Blobs(2000, 5, 7, 1.5, 123);
+  const std::vector<int> ks{1, 2, 4, 7, 10, 16};
+  const KMeansOptions base{.n_init = 1, .seed = 5};
+  const std::vector<double> want = reference::FullScanElbowCurve(x, ks, base);
+  for (int threads : {1, 2, 4}) {
+    util::ScopedParallelism scope(threads);
+    auto got = KMeansElbowCurve(x, ks, base);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got->size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_TRUE(SameBits((*got)[i], want[i]))
+          << "k=" << ks[i] << " threads=" << threads;
+    }
+  }
+}
+
+// ChooseNumTemplates (plan features -> scaler -> elbow sweep) picks the k
+// the full-scan sweep picks on the same standardized plan features.
+TEST(KMeansOracleTest, ChooseNumTemplatesMatchesFullScanElbow) {
+  workloads::DatasetOptions opt;
+  opt.num_queries = 1200;
+  opt.seed = 21;
+  auto dataset = workloads::BuildDataset(workloads::Benchmark::kTpcds, opt);
+  ASSERT_TRUE(dataset.ok());
+  const std::vector<uint32_t> indices =
+      core::AllIndices(dataset->records.size());
+  const std::vector<int> ks{4, 8, 12, 16, 20, 24};
+  const uint64_t seed = 17;
+
+  const Matrix z = core::PlanFeatureMatrix(dataset->records, indices);
+  StandardScaler scaler;
+  ASSERT_TRUE(scaler.Fit(z).ok());
+  auto scaled = scaler.Transform(z);
+  ASSERT_TRUE(scaled.ok());
+  const std::vector<double> curve = reference::FullScanElbowCurve(
+      *scaled, ks, {.n_init = 1, .seed = seed});
+  const int want = ks[PickElbow(curve)];
+
+  for (int threads : {1, 2, 4}) {
+    util::ScopedParallelism scope(threads);
+    auto got = core::ChooseNumTemplates(dataset->records, indices, ks, seed);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, want) << "threads=" << threads;
   }
 }
 

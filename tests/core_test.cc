@@ -17,6 +17,7 @@
 #include "ml/metrics.h"
 #include "ml/search.h"
 #include "plan/features.h"
+#include "workloads/log_io.h"
 
 namespace wmp::core {
 namespace {
@@ -289,6 +290,30 @@ TEST_F(CoreTest, LearnedWmpErrorChecks) {
   EXPECT_TRUE(model->PredictFromHistogram({1.0, 2.0})
                   .status()
                   .IsInvalidArgument());  // wrong length
+}
+
+// A log whose plan carries `out=nan` parses (NaN is a number), but
+// template learning must refuse it with a clear error instead of keeping
+// no k-means restart and reporting an unlearned model later.
+TEST_F(CoreTest, LearnedWmpRejectsNonFiniteLogCardinality) {
+  std::string text = workloads::SerializeQueryLog(dataset_->records);
+  const size_t scan = text.find("TBSCAN(");
+  ASSERT_NE(scan, std::string::npos);
+  const size_t out = text.find(" out=", scan);
+  const size_t end = text.find(' ', out + 1);
+  ASSERT_NE(end, std::string::npos);
+  text.replace(out, end - out, " out=nan");
+  auto records = workloads::ParseQueryLog(text);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  const std::vector<uint32_t> indices = AllIndices(records->size());
+
+  auto model = LearnedWmpModel::Train(*records, indices,
+                                      SmallLearnedOptions());
+  ASSERT_TRUE(model.status().IsInvalidArgument()) << model.status().ToString();
+  EXPECT_NE(model.status().message().find("non-finite"), std::string::npos)
+      << model.status().ToString();
+  auto k = ChooseNumTemplates(*records, indices, {4, 8, 12}, 1);
+  EXPECT_TRUE(k.status().IsInvalidArgument()) << k.status().ToString();
 }
 
 TEST_F(CoreTest, SingleWmpSumsPerQueryEstimates) {

@@ -95,11 +95,16 @@ std::map<std::string, std::string> ParseFlags(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--", 2) != 0) continue;
-    const char* eq = std::strchr(a, '=');
+    // Keys and values are built from explicit lengths and move-assigned:
+    // assigning a `const char*` into a map slot trips gcc 12's -Wrestrict
+    // false positive in std::string::_M_replace.
+    const char* key = a + 2;
+    const char* eq = std::strchr(key, '=');
     if (eq == nullptr) {
-      flags[a + 2] = "1";
+      flags[std::string(key)] = std::string(1, '1');
     } else {
-      flags[std::string(a + 2, eq)] = eq + 1;
+      flags[std::string(key, static_cast<size_t>(eq - key))] =
+          std::string(eq + 1);
     }
   }
   return flags;
@@ -349,8 +354,10 @@ int CmdTrain(const std::map<std::string, std::string>& flags) {
   const std::string model_path = FlagOr(flags, "model", "");
   if (log_path.empty() || model_path.empty()) return Usage();
 
+  Stopwatch load_clock;
   auto records = workloads::LoadQueryLog(log_path);
   if (!records.ok()) return Fail(records.status());
+  const double load_ms = load_clock.ElapsedMillis();
 
   // For --publish, pick up the previous artifact BEFORE it is overwritten:
   // the rehearsal swaps old -> new exactly like a production rollout.
@@ -369,13 +376,16 @@ int CmdTrain(const std::map<std::string, std::string>& flags) {
   opt.batch_size = std::atoi(FlagOr(flags, "batch", "10").c_str());
   opt.seed = std::strtoull(FlagOr(flags, "seed", "42").c_str(), nullptr, 10);
   const auto indices = core::AllIndices(records->size());
+  double elbow_ms = 0.0;
   if (opt.templates.num_templates <= 0) {
     // Elbow-tune k over a standard candidate grid.
+    Stopwatch elbow_clock;
     std::vector<int> ks;
     for (int k = 10; k <= 100; k += 10) ks.push_back(k);
     auto chosen = core::ChooseNumTemplates(*records, indices, ks, opt.seed);
     if (!chosen.ok()) return Fail(chosen.status());
     opt.templates.num_templates = *chosen;
+    elbow_ms = elbow_clock.ElapsedMillis();
     std::printf("elbow-tuned k = %d\n", opt.templates.num_templates);
   }
   auto model = core::LearnedWmpModel::Train(*records, indices, opt);
@@ -386,15 +396,17 @@ int CmdTrain(const std::map<std::string, std::string>& flags) {
       records->size(), model->train_stats().num_workloads, opt.batch_size,
       model->SerializedSize().ValueOr(0), model_path.c_str());
   // Phase breakdown, so a training regression is attributable from the CLI:
-  // featurize covers template learning (TR1-TR3) + workload histograms
-  // (TR4-TR5); bin/grow/round-update split the tree trainer's fit (TR6).
+  // load reads the log; elbow is the k sweep (0 with --templates); featurize
+  // covers template learning (TR1-TR3) + workload histograms (TR4-TR5);
+  // bin/grow/round-update split the tree trainer's fit (TR6).
   const core::LearnedWmpTrainStats& ts = model->train_stats();
   std::printf(
-      "phase timing: featurize %.1f ms (templates %.1f + histograms %.1f), "
+      "phase timing: load %.1f ms, elbow %.1f ms, "
+      "featurize %.1f ms (templates %.1f + histograms %.1f), "
       "regressor %.1f ms (bin %.1f / grow %.1f / round-update %.1f)\n",
-      ts.template_ms + ts.histogram_ms, ts.template_ms, ts.histogram_ms,
-      ts.regressor_ms, ts.regressor_timing.bin_ms, ts.regressor_timing.grow_ms,
-      ts.regressor_timing.update_ms);
+      load_ms, elbow_ms, ts.template_ms + ts.histogram_ms, ts.template_ms,
+      ts.histogram_ms, ts.regressor_ms, ts.regressor_timing.bin_ms,
+      ts.regressor_timing.grow_ms, ts.regressor_timing.update_ms);
   if (publish) {
     auto fresh =
         std::make_shared<const core::LearnedWmpModel>(std::move(*model));
